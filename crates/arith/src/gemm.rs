@@ -325,47 +325,35 @@ pub fn owlp_gemm_decoded(
     owlp_gemm_packed(packed_a, packed_b, None, m, k, n, config, align)
 }
 
-/// Merges a row's and a column's sorted outlier tables, yielding each
-/// tagged depth once with its pair of exponent terms — the shared exponent
-/// standing in for whichever side is untagged. This is the single walk the
-/// per-element outlier correction makes over the tag union.
-#[inline]
-fn for_each_tag(
-    rtags: &[(u32, i32)],
-    ctags: &[(u32, i32)],
-    shared_a: i32,
-    shared_w: i32,
-    mut f: impl FnMut(usize, i32, i32),
-) {
-    let (mut x, mut y) = (0usize, 0usize);
-    while x < rtags.len() || y < ctags.len() {
-        let (kk, ea, ew) = if y == ctags.len() || (x < rtags.len() && rtags[x].0 < ctags[y].0) {
-            let (kk, ea) = rtags[x];
-            x += 1;
-            (kk as usize, ea, shared_w)
-        } else if x == rtags.len() || ctags[y].0 < rtags[x].0 {
-            let (kk, ew) = ctags[y];
-            y += 1;
-            (kk as usize, shared_a, ew)
-        } else {
-            let (kk, ea) = rtags[x];
-            let ew = ctags[y].1;
-            x += 1;
-            y += 1;
-            (kk as usize, ea, ew)
-        };
-        f(kk, ea, ew);
+/// Flat (CSR) outlier-tag table of one operand, built once per GEMM call:
+/// `tags[off[u]..off[u + 1]]` holds unit `u`'s `(exponent term, depth)`
+/// pairs, where `split` maps a flat position to `(unit, depth)` and the
+/// exponent term is `max(exp, 1)` (the PE's subnormal-outlier clamp). Each
+/// unit's slice is sorted by exponent, so every exponent group is one
+/// contiguous run and the first/last entries bound the unit's exponents.
+fn tag_table(
+    ops: &PackedOperands,
+    units: usize,
+    split: impl Fn(usize) -> (usize, usize),
+) -> (Vec<usize>, Vec<(i32, u32)>) {
+    let mut off = vec![0usize; units + 1];
+    for &p in ops.outlier_positions() {
+        off[split(p as usize).0 + 1] += 1;
     }
-}
-
-/// Min/max exponent term over one tag list (`None` when untagged) — the
-/// per-row/per-column bound the correction uses to size its wide window
-/// without a per-element scan over the tags.
-fn tag_exp_bounds(tags: &[(u32, i32)]) -> Option<(i32, i32)> {
-    tags.iter().fold(None, |acc, &(_, e)| match acc {
-        None => Some((e, e)),
-        Some((lo, hi)) => Some((lo.min(e), hi.max(e))),
-    })
+    for u in 0..units {
+        off[u + 1] += off[u];
+    }
+    let mut fill = off.clone();
+    let mut tags = vec![(0i32, 0u32); off[units]];
+    for (&p, &e) in ops.outlier_positions().iter().zip(ops.outlier_exps()) {
+        let (u, depth) = split(p as usize);
+        tags[fill[u]] = (e.max(1) as i32, depth as u32);
+        fill[u] += 1;
+    }
+    for u in 0..units {
+        tags[off[u]..off[u + 1]].sort_unstable();
+    }
+    (off, tags)
 }
 
 /// The full datapath drive loop, with optionally memoised weight panels.
@@ -375,20 +363,26 @@ fn tag_exp_bounds(tags: &[(u32, i32)]) -> Option<(i32, i32)> {
 /// outer-product dot over the activation sval rows and one
 /// [`PackedPanels`] panel, partial-summing `i64` lanes that spill into a
 /// per-element [`WindowAcc`] on the shared-exponent frame (no overflow by
-/// the K_SPILL bound — see the microkernel docs). Outliers stay
-/// *segmented out of the hot loop*: the few tagged positions — found by
-/// merging the row's and column's sorted outlier tables, i.e. exactly the
-/// segments [`PackedOperands::range_has_tagged`] would flag — are then
-/// corrected per element: their as-if-normal term is subtracted and the
-/// true outlier product (same integer magnitude, frame rebuilt from the
-/// outliers' own exponents exactly as the PE's outlier bypass does) is
-/// added back through a second, dynamically sized window, or through a
-/// [`KulischAcc`] when the frame span outgrows an `i128`. Every path
-/// computes the exact sum and rounds once with the same RNE conversion,
-/// so the result is bit-identical to driving the PE column; the outlier
-/// statistics count exactly the nonzero tagged products the PE's bypass
-/// path would carry. Runs under an [`AlignUnit::Bounded`] policy are
-/// order-sensitive and keep the full [`PeColumn`] datapath.
+/// the K_SPILL bound — see the microkernel docs). Tagged outliers enter
+/// that sum as their as-if-normal value and are then corrected in
+/// *exponent groups*. For each activation row × NR-column panel, the
+/// row's tagged products are summed per outlier exponent into one NR-wide
+/// `i64` vector, with a count of nonzero products beside it, and the
+/// groups are folded into one window per column on their true outlier
+/// frames (the outlier's own exponent replacing the shared one, as the
+/// PE's bypass path rebuilds it). Each output element then pays one window
+/// op pair for all its activation groups: their total leaves the shared
+/// frame, and the row's folded window joins a second window sized from
+/// the row's and column's exponent bounds. Weight-side tags are grouped
+/// per element, one window op pair per weight exponent. A doubly-tagged
+/// depth finds its activation exponent in a dense `m×k` plane, and a frame
+/// that escapes the window goes through a [`KulischAcc`]. Integer
+/// re-association is exact and each group sum is `< 2^30·k`, so every path
+/// computes the exact sum and rounds it once with the same RNE conversion:
+/// the result is bit-identical to driving the PE column. The outlier statistics count exactly the nonzero tagged
+/// products the PE's bypass path would carry. Runs under an
+/// [`AlignUnit::Bounded`] policy are order-sensitive and keep the full
+/// [`PeColumn`] datapath.
 ///
 /// `panels` (when `Some` and shape-matched) must be
 /// `packed_b.pack_panels(k, n)` — [`PreparedTensor::with_shape`] memoises
@@ -475,55 +469,21 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     let shared_w = packed_b.shared_exp();
     let fast_ok = matches!(align, AlignUnit::Exact);
     debug_assert!(fast_ok || !ABFT, "ABFT requires the exact align unit");
-    // Tagged-position tables, hoisted out of the m×n loop: for each
-    // activation row and weight column, the in-row/in-column offsets of its
-    // tagged outliers plus their decoded exponent term (`max(exp, 1)`, the
-    // PE's subnormal-outlier clamp). Both lists come out sorted because the
-    // packed side tables are position-sorted.
-    let mut row_tags: Vec<Vec<(u32, i32)>> = vec![Vec::new(); if fast_ok { m } else { 0 }];
-    let mut col_tags: Vec<Vec<(u32, i32)>> = vec![Vec::new(); if fast_ok { n } else { 0 }];
-    if fast_ok {
+    // Outlier-tag tables, hoisted out of the m×n sweep: per activation row
+    // and per weight column, the tagged depths grouped by exponent term.
+    let (row_off, row_tags) = tag_table(packed_a, m, |p| (p / k, p % k));
+    let (col_off, col_tags) = tag_table(packed_b, n, |p| (p % n, p / n));
+    // Dense activation exponent-term plane (0 = untagged), built only when
+    // the weights carry tags: a doubly-tagged depth looks up its activation
+    // exponent here in O(1).
+    let mut a_exp = vec![0u8; if col_tags.is_empty() { 0 } else { m * k }];
+    if !a_exp.is_empty() {
         for (&p, &e) in packed_a
             .outlier_positions()
             .iter()
             .zip(packed_a.outlier_exps())
         {
-            row_tags[p as usize / k].push((p % k as u32, e.max(1) as i32));
-        }
-        for (&p, &e) in packed_b
-            .outlier_positions()
-            .iter()
-            .zip(packed_b.outlier_exps())
-        {
-            col_tags[p as usize % n].push((p / n as u32, e.max(1) as i32));
-        }
-    }
-    // Per-row/per-column exponent-term bounds, hoisted out of the m×n
-    // sweep: the correction sizes its wide window from these instead of
-    // re-scanning each element's tag union. The bound is conservative (it
-    // also covers the doubly-tagged cross term whether or not one occurs),
-    // which can only push the rare huge-span case onto the Kulisch
-    // fallback — both paths compute the same exact sum.
-    let row_ea: Vec<Option<(i32, i32)>> = row_tags.iter().map(|t| tag_exp_bounds(t)).collect();
-    let col_ew: Vec<Option<(i32, i32)>> = col_tags.iter().map(|t| tag_exp_bounds(t)).collect();
-    // Tagged-depth bitmasks (one `k`-bit mask per row/column, flat at
-    // `mask_words` words each): the correction tests `row ∩ column` with a
-    // couple of word ANDs and only falls back to the branchy merged walk
-    // when a depth really is tagged on both sides — rare, and the only
-    // case whose rebuilt frame can escape the singly-tagged bounds.
-    let mask_words = k.div_ceil(64).max(1);
-    let mut row_masks = vec![0u64; if fast_ok { m * mask_words } else { 0 }];
-    let mut col_masks = vec![0u64; if fast_ok { n * mask_words } else { 0 }];
-    if fast_ok {
-        for (i, tags) in row_tags.iter().enumerate() {
-            for &(kk, _) in tags {
-                row_masks[i * mask_words + kk as usize / 64] |= 1u64 << (kk % 64);
-            }
-        }
-        for (j, tags) in col_tags.iter().enumerate() {
-            for &(kk, _) in tags {
-                col_masks[j * mask_words + kk as usize / 64] |= 1u64 << (kk % 64);
-            }
+            a_exp[p as usize] = e.max(1);
         }
     }
     let a_sval = packed_a.svals();
@@ -589,213 +549,221 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         if fast_ok {
             let panels = panels.expect("panels are built whenever the fast path runs");
             values = vec![0.0f32; cols.len() * m];
-            // Doubly-tagged products whose frame escapes the sized window
-            // (rare) — reused across elements.
-            let mut extras: Vec<(i64, i32)> = Vec::new();
+            // Reused across tiles: the current row's exponent groups on the
+            // current panel, and the current element's Kulisch-bound terms
+            // and doubly-tagged products.
+            let mut groups: Vec<(i32, [i64; NR])> = Vec::new();
+            let mut escaped: Vec<(i64, i32)> = Vec::new();
+            let mut doubly: Vec<(i64, i32, i32)> = Vec::new();
             // Finalizes one MR×NR window tile into `values`: the sanctioned
-            // strike, the ABFT checksum partials, and the per-element
-            // outlier-correction walk. Shared by the single-stripe path
-            // (windows straight out of `tile_dot`) and the multi-stripe
-            // path (windows rebuilt from the persistent lane plane), so the
-            // correction logic exists in exactly one copy.
-            let mut finalize_tile =
-                |wins: &[[WindowAcc; NR]; MR], ib: usize, jb: usize, panel: &[i16]| {
-                    let mr = MR.min(m - ib);
-                    let nr = NR.min(cols.end - jb);
-                    // Tile-local checksum partials: the per-element i128
-                    // read-modify-writes on the chunk-wide sum vectors are
-                    // batched into registers here and flushed once per tile
-                    // (i128 addition is exact and order-free, so the
-                    // checksums are unchanged bit for bit).
-                    let mut tile_rs = [0i128; MR];
-                    let mut tile_cs = [0i128; NR];
-                    for (r, wins_row) in wins.iter().enumerate().take(mr) {
-                        let i = ib + r;
-                        let rtags = &row_tags[i];
-                        let rmask = &row_masks[i * mask_words..(i + 1) * mask_words];
-                        let row_sval = &a_sval[i * k..(i + 1) * k];
-                        for (c, &tile_win) in wins_row.iter().enumerate().take(nr) {
-                            let j = jb + c;
-                            let ctags = &col_tags[j];
-                            let mut win = tile_win;
-                            let out_idx = (j - cols.start) * m + i;
-                            // The sanctioned upset lands on the raw lane
-                            // *before* checksum collection: output and
-                            // checksums corrupt consistently, exactly as an
-                            // in-flight strike would. Compiled out of the
-                            // non-ABFT monomorphization.
-                            if ABFT {
-                                if let Some(s) = strike {
-                                    if s.i == i && s.j == j {
-                                        win.toggle_bit(s.bit);
-                                    }
-                                }
-                                tile_rs[r] += win.raw();
-                                tile_cs[c] += win.raw();
+            // strike, the ABFT checksum partials, and the grouped outlier
+            // correction. Shared by the single-stripe path (windows straight
+            // out of `tile_dot`) and the multi-stripe path (windows rebuilt
+            // from the persistent lane plane), so the correction logic
+            // exists in exactly one copy.
+            let mut finalize_tile = |wins: &[[WindowAcc; NR]; MR],
+                                     ib: usize,
+                                     jb: usize,
+                                     panel: &[i16]| {
+                let mr = MR.min(m - ib);
+                let nr = NR.min(cols.end - jb);
+                // The sanctioned upset lands on the raw lane *before*
+                // checksum collection: output and checksums corrupt
+                // consistently, exactly as an in-flight strike would.
+                let mut struck;
+                let wins = match strike {
+                    Some(s)
+                        if ABFT && (ib..ib + mr).contains(&s.i) && (jb..jb + nr).contains(&s.j) =>
+                    {
+                        struck = *wins;
+                        struck[s.i - ib][s.j - jb].toggle_bit(s.bit);
+                        &struck
+                    }
+                    _ => wins,
+                };
+                // ABFT checksum partials, in a pass of their own so the
+                // correction loop below carries no checksum state (i128
+                // addition is exact and order-free, so the checksums
+                // are unchanged bit for bit). Compiled out of the
+                // non-ABFT monomorphization.
+                if ABFT {
+                    if let Some((rs, cs)) = sums.as_mut() {
+                        let mut tile_cs = [0i128; NR];
+                        for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                            let mut row = 0i128;
+                            for (c, w) in wins_row.iter().enumerate().take(nr) {
+                                row += w.raw();
+                                tile_cs[c] += w.raw();
                             }
-                            if rtags.is_empty() && ctags.is_empty() {
-                                values[out_idx] = win.round_to_f32();
+                            rs[ib + r] += row;
+                        }
+                        for (c, part) in tile_cs.iter().enumerate().take(nr) {
+                            cs[jb + c - cols.start] += part;
+                        }
+                    }
+                }
+                for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                    let i = ib + r;
+                    let rtags = &row_tags[row_off[i]..row_off[i + 1]];
+                    let row_sval = &a_sval[i * k..(i + 1) * k];
+                    let row_exp = a_exp.get(i * k..(i + 1) * k).unwrap_or_default();
+                    // Panel-wide activation groups: per outlier
+                    // exponent, the NR-wide sum of the tagged products
+                    // (each < 2^30, so a group stays < 2^30·k in i64).
+                    // Beside them, per column: the sum of every group,
+                    // the count of nonzero products (zero products stay
+                    // on the normal path, as in the PE), and all groups
+                    // folded into one window at the row's lowest frame
+                    // — absent only when the row's own span outgrows an
+                    // i128, and then no element of the row fits either.
+                    groups.clear();
+                    let mut row_sum = [0i64; NR];
+                    let mut row_nonzero = [0u32; NR];
+                    for run in rtags.chunk_by(|x, y| x.0 == y.0) {
+                        let mut sum = [0i64; NR];
+                        for &(_, kk) in run {
+                            let a = row_sval[kk as usize] as i64;
+                            let p = &panel[kk as usize * NR..][..NR];
+                            for c in 0..NR {
+                                let v = a * p[c] as i64;
+                                sum[c] += v;
+                                row_nonzero[c] += (v != 0) as u32;
+                            }
+                        }
+                        for c in 0..NR {
+                            row_sum[c] += sum[c];
+                        }
+                        groups.push((run[0].0 + shared_w as i32 - 268, sum));
+                    }
+                    let row_wins = match (groups.first(), groups.last()) {
+                        (Some(first), Some(last)) => WindowAcc::for_span(
+                            first.0,
+                            last.0 + OWLP_PRODUCT_BITS,
+                            rtags.len() as u64,
+                        )
+                        .map(|w0| {
+                            let mut ws = [w0; NR];
+                            for (f, sum) in &groups {
+                                for c in 0..NR {
+                                    ws[c].add(sum[c], *f);
+                                }
+                            }
+                            ws
+                        }),
+                        _ => None,
+                    };
+                    for (c, &tile_win) in wins_row.iter().enumerate().take(nr) {
+                        let j = jb + c;
+                        let ctags = &col_tags[col_off[j]..col_off[j + 1]];
+                        let mut win = tile_win;
+                        let out_idx = (j - cols.start) * m + i;
+                        if rtags.is_empty() && ctags.is_empty() {
+                            values[out_idx] = win.round_to_f32();
+                            continue;
+                        }
+                        // Grouped correction: the tagged products leave
+                        // the shared frame as group sums and re-enter on
+                        // their true outlier frames — `max(exp, 1)`
+                        // replacing the shared exponent on the tagged
+                        // side, the PE's bypass-path frame. The row's
+                        // groups re-enter as its folded window. The wide
+                        // window is sized from the row's and column's
+                        // exponent bounds (the first and last entries of
+                        // their sorted tags); only a doubly-tagged frame
+                        // can escape it, and escaped frames join through
+                        // a Kulisch register. Integer re-association is
+                        // exact, so every path rounds the same sum once.
+                        let mut lo = win.frame();
+                        let mut hi = lo + OWLP_PRODUCT_BITS;
+                        if let (Some(first), Some(last)) = (rtags.first(), rtags.last()) {
+                            lo = lo.min(first.0 + shared_w as i32 - 268);
+                            hi = hi.max(last.0 + shared_w as i32 - 268 + OWLP_PRODUCT_BITS);
+                        }
+                        if let (Some(first), Some(last)) = (ctags.first(), ctags.last()) {
+                            lo = lo.min(shared_a as i32 + first.0 - 268);
+                            hi = hi.max(shared_a as i32 + last.0 - 268 + OWLP_PRODUCT_BITS);
+                        }
+                        // A span that outgrows an i128 leaves an empty
+                        // fit range: every term then joins the Kulisch
+                        // register.
+                        let terms = (k + rtags.len() + 2 * ctags.len()) as u64;
+                        let hi_fit = match WindowAcc::for_span(lo, hi, terms) {
+                            Some(_) => hi - OWLP_PRODUCT_BITS,
+                            None => lo - 1,
+                        };
+                        let mut wide = WindowAcc::new(lo);
+                        escaped.clear();
+                        win.add_aligned(-row_sum[c]);
+                        let mut routed = row_nonzero[c] as usize;
+                        match row_wins {
+                            Some(rw) if hi_fit >= lo => wide.add_window(&rw[c]),
+                            _ => escaped.extend(groups.iter().map(|&(f, sum)| (sum[c], f))),
+                        }
+                        let mut put = |v: i64, f: i32| {
+                            if (lo..=hi_fit).contains(&f) {
+                                wide.add(v, f)
+                            } else {
+                                escaped.push((v, f))
+                            }
+                        };
+                        // Weight-side groups, per element: products whose
+                        // activation is normal sum per weight exponent. A
+                        // doubly-tagged product already moved with its
+                        // activation group; it is set aside and moved on
+                        // from that frame to the frame of both exponents.
+                        let mut flush = |ew: i32, sum: i64, nonzero: usize| {
+                            if nonzero != 0 {
+                                win.add_aligned(-sum);
+                                put(sum, shared_a as i32 + ew - 268);
+                                routed += nonzero;
+                            }
+                        };
+                        let (mut ew, mut sum, mut nonzero) = (0i32, 0i64, 0usize);
+                        doubly.clear();
+                        for &(e, kk) in ctags {
+                            if e != ew {
+                                flush(ew, sum, nonzero);
+                                (ew, sum, nonzero) = (e, 0, 0);
+                            }
+                            let kk = kk as usize;
+                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
+                            if v == 0 {
                                 continue;
                             }
-                            // Correction walk over the merged union of
-                            // tagged positions: pull each tagged product out
-                            // of the shared frame and rebuild it on its true
-                            // outlier frame — `max(exp, 1)` replacing the
-                            // shared exponent on each tagged side, exactly
-                            // the PE's bypass-path frame. Zero products stay
-                            // on the normal path (the PE never routes them
-                            // to an outlier slot). One pass: the wide window
-                            // is sized up front from the hoisted per-row/
-                            // per-column exponent bounds, so each tagged
-                            // product is subtracted and re-added in the same
-                            // step. Falls back to the Kulisch register only
-                            // when the bounded span outgrows an i128.
-                            // The window is sized from the singly-tagged
-                            // bounds only: a doubly-tagged depth (both the
-                            // row and the column tag the same kk — rare,
-                            // and the only case whose frame can escape
-                            // these bounds) is diverted to the `extras`
-                            // side list and folded in afterwards.
-                            let mut lo = win.frame();
-                            let mut hi = lo + OWLP_PRODUCT_BITS;
-                            if let Some((elo, ehi)) = row_ea[i] {
-                                lo = lo.min(elo + shared_w as i32 - 268);
-                                hi = hi.max(ehi + shared_w as i32 - 268 + OWLP_PRODUCT_BITS);
-                            }
-                            if let Some((elo, ehi)) = col_ew[j] {
-                                lo = lo.min(shared_a as i32 + elo - 268);
-                                hi = hi.max(shared_a as i32 + ehi - 268 + OWLP_PRODUCT_BITS);
-                            }
-                            let terms = (k + rtags.len() + ctags.len()) as u64;
-                            let mut routed = 0usize;
-                            match WindowAcc::for_span(lo, hi, terms) {
-                                Some(mut wide) => {
-                                    let cmask = &col_masks[j * mask_words..(j + 1) * mask_words];
-                                    let disjoint = rmask.iter().zip(cmask).all(|(a, b)| a & b == 0);
-                                    if disjoint {
-                                        // No depth is tagged on both sides:
-                                        // two straight sweeps, each rebuilt
-                                        // frame provably inside the window
-                                        // by the singly-tagged bounds above.
-                                        // Same signed integer the kernel
-                                        // added: the sval product folds sign
-                                        // and the 4·(sh_a + sh_w) shift.
-                                        for &(kk, ea) in rtags.iter() {
-                                            let kk = kk as usize;
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                continue;
-                                            }
-                                            win.add_aligned(-v);
-                                            wide.add(v, ea + shared_w as i32 - 268);
-                                            routed += 1;
-                                        }
-                                        for &(kk, ew) in ctags.iter() {
-                                            let kk = kk as usize;
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                continue;
-                                            }
-                                            win.add_aligned(-v);
-                                            wide.add(v, shared_a as i32 + ew - 268);
-                                            routed += 1;
-                                        }
-                                        values[out_idx] = if routed == 0 {
-                                            // Every tagged product was zero —
-                                            // the shared-frame window already
-                                            // holds the exact sum.
-                                            win.round_to_f32()
-                                        } else {
-                                            wide.add_window(&win);
-                                            wide.round_to_f32()
-                                        };
-                                        max_wavefront = max_wavefront.max(routed);
-                                        total += routed;
-                                        continue;
-                                    }
-                                    let hi_fit = hi - OWLP_PRODUCT_BITS;
-                                    extras.clear();
-                                    for_each_tag(
-                                        rtags,
-                                        ctags,
-                                        shared_a as i32,
-                                        shared_w as i32,
-                                        |kk, ea, ew| {
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                return;
-                                            }
-                                            win.add_aligned(-v);
-                                            let f = ea + ew - 268;
-                                            if f >= lo && f <= hi_fit {
-                                                wide.add(v, f);
-                                            } else {
-                                                extras.push((v, f));
-                                            }
-                                            routed += 1;
-                                        },
-                                    );
-                                    values[out_idx] = if !extras.is_empty() {
-                                        // A doubly-tagged frame escaped the
-                                        // window — take everything through
-                                        // the Kulisch register.
-                                        let mut acc = KulischAcc::new();
-                                        win.merge_into(&mut acc);
-                                        wide.merge_into(&mut acc);
-                                        for &(v, f) in extras.iter() {
-                                            acc.add_scaled(v, f);
-                                        }
-                                        acc.round_to_f32()
-                                    } else if routed == 0 {
-                                        // Every tagged product was zero — the
-                                        // shared-frame window already holds
-                                        // the exact sum.
-                                        win.round_to_f32()
-                                    } else {
-                                        wide.add_window(&win);
-                                        wide.round_to_f32()
-                                    };
+                            match row_exp[kk] {
+                                0 => {
+                                    sum += v;
+                                    nonzero += 1;
                                 }
-                                None => {
-                                    let mut acc = KulischAcc::new();
-                                    for_each_tag(
-                                        rtags,
-                                        ctags,
-                                        shared_a as i32,
-                                        shared_w as i32,
-                                        |kk, ea, ew| {
-                                            let v = row_sval[kk] as i64 * panel[kk * NR + c] as i64;
-                                            if v == 0 {
-                                                return;
-                                            }
-                                            win.add_aligned(-v);
-                                            acc.add_scaled(v, ea + ew - 268);
-                                            routed += 1;
-                                        },
-                                    );
-                                    values[out_idx] = if routed == 0 {
-                                        win.round_to_f32()
-                                    } else {
-                                        win.merge_into(&mut acc);
-                                        acc.round_to_f32()
-                                    };
-                                }
-                            }
-                            max_wavefront = max_wavefront.max(routed);
-                            total += routed;
-                        }
-                    }
-                    if ABFT {
-                        if let Some((rs, cs)) = sums.as_mut() {
-                            for (r, part) in tile_rs.iter().enumerate().take(mr) {
-                                rs[ib + r] += part;
-                            }
-                            for (c, part) in tile_cs.iter().enumerate().take(nr) {
-                                cs[jb + c - cols.start] += part;
+                                ea => doubly.push((v, ea as i32, e)),
                             }
                         }
+                        flush(ew, sum, nonzero);
+                        for &(v, ea, ew) in &doubly {
+                            put(-v, ea + shared_w as i32 - 268);
+                            put(v, ea + ew - 268);
+                        }
+                        values[out_idx] = if routed == 0 {
+                            // Every tagged product was zero — the
+                            // shared-frame window holds the exact sum.
+                            win.round_to_f32()
+                        } else if escaped.is_empty() {
+                            wide.add_window(&win);
+                            wide.round_to_f32()
+                        } else {
+                            let mut acc = KulischAcc::new();
+                            win.merge_into(&mut acc);
+                            wide.merge_into(&mut acc);
+                            for &(v, f) in &escaped {
+                                acc.add_scaled(v, f);
+                            }
+                            acc.round_to_f32()
+                        };
+                        max_wavefront = max_wavefront.max(routed);
+                        total += routed;
                     }
-                };
+                }
+            };
             // BLIS-style blocked traversal of this chunk's column range.
             // Blocking is pure re-association of the same exact integer
             // sums, so every (Mc, Kc, Nc) choice — including the unblocked

@@ -474,6 +474,34 @@ fn tensor(len: usize, salt: u64) -> Vec<owlp_format::Bf16> {
         .collect()
 }
 
+/// Operands of the `gemm-owlp-dense` case: `m×k` activations drawn from
+/// the calibrated Llama2-7B FFN-down activation profile and passed through
+/// the transformer's GELU (the FFN-down GEMM's input), and `k×n`
+/// weights from the matching calibrated weight profile.
+fn dense_ffn_down_operands(
+    m: usize,
+    k: usize,
+    n: usize,
+) -> (Vec<owlp_format::Bf16>, Vec<owlp_format::Bf16>) {
+    use owlp_model::profiles::{profile_for, TensorRole};
+    use owlp_model::{OpKind, TensorGen};
+    let profile = |role| {
+        profile_for(
+            ModelId::Llama2_7b,
+            OpKind::FfnDown,
+            role,
+            Dataset::WikiText2,
+        )
+    };
+    let a = TensorGen::new(profile(TensorRole::Activation), m, k)
+        .values(SEED)
+        .iter()
+        .map(|v| owlp_format::Bf16::from_f32(owlp_core::transformer::gelu(v.to_f32())))
+        .collect();
+    let w = TensorGen::new(profile(TensorRole::Weight), k, n).values(SEED ^ 0xD0);
+    (a, w)
+}
+
 /// Runs the suite. `smoke` shrinks shapes and repetitions so CI can afford
 /// it on every push.
 pub fn run(smoke: bool) -> BenchReport {
@@ -608,6 +636,41 @@ pub fn run(smoke: bool) -> BenchReport {
         || owlp_arith::owlp_gemm(&a, &b, m, k, n).expect("finite inputs"),
         |r| r.output.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
     ));
+
+    // 9. Outlier-dense OwL-P GEMM at the FFN-down shape, as the forward
+    //    pass runs it: calibrated-profile weights prepared once, and GELU
+    //    outputs of the calibrated FFN-down activation profile streamed
+    //    through one reused scratch. Bit-identity covers the exact engine
+    //    as well as serial vs parallel.
+    let (m, k, n) = if smoke {
+        (32, 256, 128)
+    } else {
+        (128, 2048, 512)
+    };
+    let (a, w) = dense_ffn_down_operands(m, k, n);
+    let prepared = owlp_arith::PreparedTensor::with_shape(&w, k, n).expect("finite inputs");
+    let mut scratch = owlp_arith::GemmScratch::default();
+    let bits = |r: &owlp_arith::OwlpGemmOutput| -> Vec<u32> {
+        r.output.iter().map(|v| v.to_bits()).collect()
+    };
+    let owlp = owlp_arith::owlp_gemm_prepared(&a, &prepared, m, k, n).expect("finite inputs");
+    let exact = owlp_arith::exact_gemm(&a, &w, m, k, n);
+    let exact_identical = bits(&owlp) == exact.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let act_ratio = owlp.act_outliers as f64 / (m * k) as f64;
+    let mut dense = case(
+        "gemm-owlp-dense",
+        format!("{m}x{k}x{n}, {:.1}% act outliers", 100.0 * act_ratio),
+        2 * (m * k * n) as u64,
+        reps,
+        threads,
+        || {
+            owlp_arith::owlp_gemm_prepared_with(&a, &prepared, m, k, n, &mut scratch)
+                .expect("finite inputs")
+        },
+        bits,
+    );
+    dense.bit_identical &= exact_identical;
+    cases.push(dense);
 
     BenchReport {
         schema: SCHEMA,
@@ -772,8 +835,15 @@ fn weights_section(smoke: bool) -> WeightsSection {
         .map(|i| (format!("w{i}"), tensor(k * n, 100 + i as u64)))
         .collect();
 
+    // One archive name per call: concurrent reports in one process (the
+    // lib tests run several) must never re-pack a file another call maps.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut path = std::env::temp_dir();
-    path.push(format!("owlp-bench-weights-{}.owl2", std::process::id()));
+    path.push(format!(
+        "owlp-bench-weights-{}-{call}.owl2",
+        std::process::id()
+    ));
     let mut writer = ArchiveWriter::with_budget(&path, budget).expect("temp archive creates");
     for (name, data) in &tensors {
         writer
@@ -1339,9 +1409,9 @@ mod tests {
         let r = owlp_par::with_threads(2, || run(true));
         assert_eq!(r.schema, SCHEMA);
         assert!(r.smoke);
-        assert_eq!(r.cases.len(), 8);
+        assert_eq!(r.cases.len(), 9);
         assert_eq!(r.requested_threads, 2);
-        for name in ["gemm-exact-large", "gemm-owlp-large"] {
+        for name in ["gemm-exact-large", "gemm-owlp-large", "gemm-owlp-dense"] {
             assert!(
                 r.cases.iter().any(|c| c.name == name),
                 "large case {name} missing"

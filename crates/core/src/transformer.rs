@@ -480,8 +480,9 @@ fn softmax_rows(scores: &[f32], rows: usize, cols: usize, scale: f32) -> Vec<f32
     out
 }
 
-/// tanh-approximation GELU, plain f32.
-fn gelu(x: f32) -> f32 {
+/// tanh-approximation GELU, plain f32 — the FFN nonlinearity whose
+/// outputs feed the FFN-down GEMM.
+pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh())
 }
 

@@ -63,7 +63,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Header magic.
@@ -305,9 +305,19 @@ pub struct ArchiveSummary {
 
 /// Streaming archive v2 encoder: packs tensors of any size under a fixed
 /// transient-memory budget (see the module docs).
+///
+/// The archive is written to `<path>.tmp` and renamed over `path` only by
+/// [`ArchiveWriter::finish`], after an fsync. Re-packing a path therefore
+/// never truncates a file that a live [`MappedArchive`] still maps: the
+/// old inode outlives the map. A writer dropped before `finish` (or one
+/// whose `finish` fails) removes its temporary file.
 #[derive(Debug)]
 pub struct ArchiveWriter {
     file: File,
+    /// The archive's final name.
+    path: PathBuf,
+    /// The file being written; `None` once renamed into place.
+    tmp: Option<PathBuf>,
     cursor: u64,
     entries: Vec<TensorEntry>,
     budget: usize,
@@ -315,8 +325,8 @@ pub struct ArchiveWriter {
 }
 
 impl ArchiveWriter {
-    /// Creates (truncating) an archive at `path` with the budget from
-    /// [`stream_budget_from_env`].
+    /// Starts an archive that [`ArchiveWriter::finish`] puts at `path`,
+    /// with the budget from [`stream_budget_from_env`].
     ///
     /// # Errors
     ///
@@ -331,23 +341,31 @@ impl ArchiveWriter {
     ///
     /// Propagates file creation failures.
     pub fn with_budget(path: &Path, budget: usize) -> Result<Self, ArchiveError> {
-        let mut file = OpenOptions::new()
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(path)?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        header[..4].copy_from_slice(ARCHIVE2_MAGIC);
-        header[4..8].copy_from_slice(&ARCHIVE2_VERSION.to_le_bytes());
-        file.write_all(&header)?;
-        Ok(ArchiveWriter {
+            .open(&tmp)?;
+        // Built before the header write so a failed write drops the writer,
+        // which removes the temporary file.
+        let mut writer = ArchiveWriter {
             file,
+            path: path.to_path_buf(),
+            tmp: Some(tmp),
             cursor: HEADER_LEN,
             entries: Vec::new(),
             budget: budget.max(1),
             meter: AllocMeter::default(),
-        })
+        };
+        let mut header = [0u8; HEADER_LEN as usize];
+        header[..4].copy_from_slice(ARCHIVE2_MAGIC);
+        header[4..8].copy_from_slice(&ARCHIVE2_VERSION.to_le_bytes());
+        writer.file.write_all(&header)?;
+        Ok(writer)
     }
 
     /// The streaming byte budget in effect.
@@ -621,11 +639,13 @@ impl ArchiveWriter {
         Ok((whole.finalize(), tiles.finish()))
     }
 
-    /// Writes the index and footer and syncs the file.
+    /// Writes the index and footer, syncs the file, and renames it over
+    /// the target path.
     ///
     /// # Errors
     ///
-    /// Propagates write/sync failures.
+    /// Propagates write/sync/rename failures (the temporary file is
+    /// removed).
     pub fn finish(mut self) -> Result<ArchiveSummary, ArchiveError> {
         let mut index = Vec::new();
         for e in &self.entries {
@@ -665,6 +685,19 @@ impl ArchiveWriter {
         footer.extend_from_slice(ARCHIVE2_FOOTER_MAGIC);
         self.write_at(index_off + index.len() as u64, &footer)?;
         self.file.sync_all()?;
+        if let Some(tmp) = &self.tmp {
+            std::fs::rename(tmp, &self.path)?;
+            self.tmp = None;
+            // The rename itself is durable only once the directory is.
+            #[cfg(unix)]
+            {
+                let dir = match self.path.parent() {
+                    Some(d) if !d.as_os_str().is_empty() => d,
+                    _ => Path::new("."),
+                };
+                File::open(dir)?.sync_all()?;
+            }
+        }
         self.meter.release(index.len());
         Ok(ArchiveSummary {
             tensors: self.entries.len(),
@@ -672,6 +705,14 @@ impl ArchiveWriter {
             budget: self.budget,
             peak_alloc: self.meter.peak(),
         })
+    }
+}
+
+impl Drop for ArchiveWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = self.tmp.take() {
+            let _ = std::fs::remove_file(tmp);
+        }
     }
 }
 
@@ -1255,6 +1296,35 @@ mod tests {
         assert!(ar.is_empty());
         assert_eq!(ar.verify().unwrap(), VerifyReport::default());
         drop(ar);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn repacking_a_live_mapped_path_leaves_the_old_map_intact() {
+        let path = temp_path("repack-live");
+        write_archive(&path, 8 << 10, &[("w", 40, 24)]);
+        let old = MappedArchive::open(&path).unwrap();
+        let before = old.file.bytes().to_vec();
+        // Re-pack the same path with different contents while the old
+        // map is live: the old inode must survive untouched.
+        write_archive(&path, 8 << 10, &[("w", 64, 32), ("v", 8, 8)]);
+        assert_eq!(old.file.bytes(), before.as_slice(), "old map changed");
+        assert!(old.verify().is_ok());
+        assert_eq!(old.tensor("w").unwrap().to_bf16_vec(), mixed(40 * 24));
+        let new = MappedArchive::open(&path).unwrap();
+        assert_eq!(new.len(), 2);
+        assert_eq!(new.tensor("w").unwrap().k(), 64);
+        // An abandoned writer leaves neither a temporary file nor a change
+        // to the finished archive.
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut w = ArchiveWriter::with_budget(&path, 8 << 10).unwrap();
+        w.add_tensor_slice("x", 4, 4, &mixed(16)).unwrap();
+        assert!(std::path::Path::new(&tmp).exists());
+        drop(w);
+        assert!(!std::path::Path::new(&tmp).exists());
+        assert_eq!(MappedArchive::open(&path).unwrap().len(), 2);
+        drop((old, new));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -245,16 +245,10 @@ impl Pool {
             || total_ops.is_some_and(|ops| ops < MIN_PARALLEL_OPS)
             || IN_WORKER.with(Cell::get);
         if serial {
-            for c in 0..chunks {
-                f(c);
-            }
-            return;
+            return in_worker_scope(|| (0..chunks).for_each(f));
         }
         let Some(_dispatch) = self.dispatch.try_lock() else {
-            for c in 0..chunks {
-                f(c);
-            }
-            return;
+            return in_worker_scope(|| (0..chunks).for_each(f));
         };
         let job = Arc::new(Job {
             // SAFETY (lifetime erasure): the quiesce protocol below keeps
@@ -284,9 +278,7 @@ impl Pool {
         // The caller participates (it counts toward the budget); nested
         // parallel calls inside `f` must run serially here exactly as they
         // do inside a pool worker.
-        let was_worker = IN_WORKER.with(|w| w.replace(true));
-        run_chunks(&job);
-        IN_WORKER.with(|w| w.set(was_worker));
+        in_worker_scope(|| run_chunks(&job));
         // Quiesce: withdraw the job so no new worker registers, then wait
         // until every registered worker has deregistered — only then is the
         // erased borrow of `f` (and of everything it captures) dead.
@@ -301,6 +293,22 @@ impl Pool {
             resume_unwind(payload);
         }
     }
+}
+
+/// Runs `f` as pool work on the calling thread: nested parallel calls see
+/// a budget of 1, exactly as inside a pool worker, whether the chunks were
+/// fanned out or fell back to a serial loop (restored also on unwind). A
+/// closure's view of [`thread_budget`] therefore never depends on how busy
+/// the pool was.
+fn in_worker_scope<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// Claims and runs chunks until the counter is exhausted, capturing the
@@ -389,8 +397,12 @@ where
     let grain = grain.max(1);
     let chunks = n.div_ceil(grain);
     let workers = thread_budget().min(chunks);
-    if workers <= 1 || total_ops.is_some_and(|ops| ops < MIN_PARALLEL_OPS) {
-        return (0..chunks).map(|c| f(chunk_range(c, grain, n))).collect();
+    let serial = || (0..chunks).map(|c| f(chunk_range(c, grain, n))).collect();
+    if workers <= 1 {
+        return serial();
+    }
+    if total_ops.is_some_and(|ops| ops < MIN_PARALLEL_OPS) {
+        return in_worker_scope(serial);
     }
     let slots: Vec<Mutex<Option<U>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
     let chunk_fn = |c: usize| {
@@ -429,11 +441,11 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    if thread_budget() <= 1
-        || chunk_count(n, grain) <= 1
-        || (n as u64).saturating_mul(ops_per_item.max(1)) < MIN_PARALLEL_OPS
-    {
+    if thread_budget() <= 1 || chunk_count(n, grain) <= 1 {
         return (0..n).map(f).collect();
+    }
+    if (n as u64).saturating_mul(ops_per_item.max(1)) < MIN_PARALLEL_OPS {
+        return in_worker_scope(|| (0..n).map(f).collect());
     }
     let mut out = Vec::with_capacity(n);
     for chunk in map_chunks(n, grain, |r| r.map(&f).collect::<Vec<U>>()) {
@@ -512,6 +524,32 @@ mod tests {
     fn nested_calls_run_serially_inside_workers() {
         let nested_budgets = with_threads(4, || map_indexed(4, 1, |_| thread_budget()));
         assert_eq!(nested_budgets, vec![1; 4]);
+    }
+
+    #[test]
+    fn serial_fallbacks_run_inside_the_worker_scope() {
+        // Another thread holds the dispatch lock for the whole call, so the
+        // pool must take its contention fallback — forced, not raced — and
+        // the closures must see the same budget a fanned-out run gives them.
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _dispatch = Pool::get().dispatch.lock();
+            held_tx.send(()).expect("test thread waits");
+            release_rx.recv().ok();
+        });
+        held_rx.recv().expect("holder took the dispatch lock");
+        let contended = with_threads(4, || map_indexed(4, 1, |_| thread_budget()));
+        release_tx.send(()).expect("holder waits");
+        holder.join().expect("holder exits cleanly");
+        assert_eq!(contended, vec![1; 4], "contention fallback");
+        // The below-threshold fallbacks follow the same rule.
+        let small = with_threads(4, || map_chunks_weighted(4, 1, 1, |_| thread_budget()));
+        assert_eq!(small, vec![1; 4], "work-estimate fallback");
+        let small = with_threads(4, || map_indexed_weighted(4, 1, 1, |_| thread_budget()));
+        assert_eq!(small, vec![1; 4], "work-estimate fallback");
+        // The scope ends with the call.
+        assert_eq!(with_threads(4, thread_budget), 4);
     }
 
     #[test]

@@ -3,16 +3,23 @@
 //! banded `exact_gemm`) equal the scalar per-product Kulisch oracle
 //! bit-for-bit — across outlier densities from all-normal to all-outlier,
 //! across shapes that leave MR/NR edge remainders, and at every thread
-//! count.
+//! count. The dense-outlier sweep pushes the grouped outlier correction
+//! from no outliers to all-outlier rows, with doubly-tagged depths whose
+//! frames escape to the Kulisch register, through the multi-stripe path,
+//! and checks the outlier statistics against an independent count.
 
 use owlp_repro::arith::exact::exact_gemm;
-use owlp_repro::arith::gemm::{owlp_gemm, owlp_gemm_prepared_with, GemmScratch, PreparedTensor};
+use owlp_repro::arith::gemm::{
+    owlp_gemm, owlp_gemm_packed_abft, owlp_gemm_prepared_with, GemmScratch, OwlpGemmOutput,
+    PreparedTensor,
+};
 use owlp_repro::arith::microkernel::{
     self, available_tiers, dot_sval_with, tile_dot_i16_with, tile_dot_i32_with, with_tier,
     KernelTier, MR, NR,
 };
 use owlp_repro::arith::{KulischAcc, WindowAcc};
-use owlp_repro::format::Bf16;
+use owlp_repro::format::{encode_tensor, select_window, with_block, Bf16, BlockGeometry};
+use owlp_repro::integrity::abft::reference_sums;
 use owlp_repro::par::with_threads;
 use proptest::prelude::*;
 
@@ -229,5 +236,169 @@ fn edge_remainder_shapes_are_bit_exact() {
                 assert_eq!(x.to_bits(), y.to_bits(), "exact {m}x{k}x{n}");
             }
         }
+    }
+}
+
+/// Activation outlier densities of the dense sweep, in permille.
+const ACT_DENSITIES: [u32; 6] = [0, 30, 270, 600, 980, 1000];
+
+/// Weight outlier densities of the dense sweep, in permille.
+const WT_DENSITIES: [u32; 3] = [0, 20, 100];
+
+/// A dense-outlier tensor: about `permille` of the entries are pushed
+/// outside the shared window, across many exponents. GELU-like entries
+/// are normals of either sign plus large positive and tiny negative
+/// outliers, 6–55 octaves out; softmax-like entries are all positive, with
+/// every outlier tiny and 8–67 octaves below the window. One entry in
+/// sixteen is zero.
+fn dense_tensor(len: usize, permille: u32, softmax: bool, seed: u64) -> Vec<Bf16> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state >> 60 == 0 {
+                return Bf16::ZERO;
+            }
+            let frac = 1.0 + ((state >> 40) & 0xff) as f32 / 256.0;
+            let spread = ((state >> 24) % 50) as i32;
+            let (exp, negative) = if state % 1000 >= permille as u64 {
+                (
+                    -(((state >> 20) % 3) as i32),
+                    !softmax && state & (1 << 33) != 0,
+                )
+            } else if softmax {
+                (-8 - spread - ((state >> 50) % 10) as i32, false)
+            } else if state & (1 << 34) == 0 {
+                (6 + spread, false)
+            } else {
+                (-6 - spread, true)
+            };
+            let v = frac * 2f32.powi(exp);
+            Bf16::from_f32(if negative { -v } else { v })
+        })
+        .collect()
+}
+
+/// The outlier statistics counted naively from the BF16 values: a product
+/// takes an outlier path when either operand lies outside its tensor's
+/// shared window and neither is zero.
+fn naive_outlier_stats(a: &[Bf16], b: &[Bf16], m: usize, k: usize, n: usize) -> (usize, usize) {
+    let (wa, wb) = (select_window(a), select_window(b));
+    let (mut max, mut total) = (0usize, 0usize);
+    for i in 0..m {
+        for j in 0..n {
+            let routed = (0..k)
+                .filter(|&kk| {
+                    let (x, y) = (a[i * k + kk], b[kk * n + j]);
+                    !x.is_zero() && !y.is_zero() && (!wa.contains(x) || !wb.contains(y))
+                })
+                .count();
+            max = max.max(routed);
+            total += routed;
+        }
+    }
+    (max, total)
+}
+
+/// Runs the ABFT drive loop at every tier × thread count × blocking
+/// geometry (the unblocked oracle, an awkward multi-stripe split, and the
+/// automatic choice) and checks each run against the exact engine, the
+/// forced-scalar unblocked serial run, the independent ABFT reference
+/// sums, and the naive outlier statistics.
+fn check_dense_gemm(
+    a: &[Bf16],
+    b: &[Bf16],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let pa = encode_tensor(a, None)
+        .expect("finite inputs")
+        .decode_packed();
+    let pb = encode_tensor(b, None)
+        .expect("finite inputs")
+        .decode_packed();
+    let exact = exact_gemm(a, b, m, k, n);
+    let reference = reference_sums(&pa, &pb, m, k, n);
+    let (max, total) = naive_outlier_stats(a, b, m, k, n);
+    let run = || owlp_gemm_packed_abft(&pa, &pb, None, m, k, n, None).expect("finite inputs");
+    let (scalar, scalar_sums) = with_tier(KernelTier::Scalar, || {
+        with_threads(1, || with_block(BlockGeometry::UNBLOCKED, run))
+    });
+    assert_bits_equal("forced-scalar", &scalar.output, &exact)?;
+    prop_assert_eq!(&scalar_sums, &reference, "ABFT reference sums");
+    prop_assert_eq!(scalar.max_wavefront_outliers, max, "max wavefront outliers");
+    prop_assert_eq!(
+        scalar.total_outlier_products,
+        total,
+        "total outlier products"
+    );
+    let split = BlockGeometry::parse("4,8,4").expect("valid geometry");
+    for &tier in available_tiers() {
+        for t in TIER_THREADS {
+            for geom in [Some(BlockGeometry::UNBLOCKED), Some(split), None] {
+                let (out, sums): (OwlpGemmOutput, _) = with_tier(tier, || {
+                    with_threads(t, || match geom {
+                        Some(g) => with_block(g, run),
+                        None => run(),
+                    })
+                });
+                let what = format!("{tier} {t}t {geom:?}");
+                prop_assert_eq!(&out, &scalar, "{}", what);
+                prop_assert_eq!(&sums, &scalar_sums, "{}", what);
+            }
+        }
+    }
+    let plain = owlp_gemm(a, b, m, k, n).expect("finite inputs");
+    prop_assert_eq!(&plain, &scalar, "plain vs ABFT drive loop");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Activation density from none to all-outlier (GELU-like or
+    /// softmax-like rows) against weight density up to 10%: outputs, ABFT
+    /// sums and outlier statistics at every tier, thread count and
+    /// geometry. The dense rows force doubly-tagged depths; their frames
+    /// escape the singly-tagged window bounds to the Kulisch register, and
+    /// rows with outliers far above and below the window overflow the
+    /// wide window entirely.
+    #[test]
+    fn dense_outlier_sweep_matches_every_oracle(
+        m in 1usize..11,
+        k in 1usize..90,
+        n in 1usize..11,
+        act_idx in 0usize..ACT_DENSITIES.len(),
+        wt_idx in 0usize..WT_DENSITIES.len(),
+        softmax in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let a = dense_tensor(m * k, ACT_DENSITIES[act_idx], softmax, seed);
+        let b = dense_tensor(k * n, WT_DENSITIES[wt_idx], false, seed.rotate_left(29) | 4);
+        check_dense_gemm(&a, &b, m, k, n)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Depths beyond the lane spill period take the multi-stripe path with
+    /// its spill plane; the grouped correction must see the same sums.
+    #[test]
+    fn dense_outliers_beyond_the_spill_period_match_every_oracle(
+        m in 1usize..6,
+        extra_k in 1usize..40,
+        n in 1usize..6,
+        act_idx in 0usize..ACT_DENSITIES.len(),
+        softmax in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let k = microkernel::K_SPILL + extra_k;
+        let a = dense_tensor(m * k, ACT_DENSITIES[act_idx], softmax, seed);
+        let b = dense_tensor(k * n, WT_DENSITIES[2], false, seed.rotate_left(31) | 8);
+        check_dense_gemm(&a, &b, m, k, n)?;
     }
 }
