@@ -9,13 +9,13 @@ use crate::align::AlignUnit;
 use crate::column::PeColumn;
 use crate::error::ArithError;
 use crate::kulisch::KulischAcc;
-use crate::microkernel::{self, MR, MR8, NR};
+use crate::microkernel::{self, with_rows, MR, MR8, NR};
 use crate::pe::PeConfig;
 use crate::window::{WindowAcc, OWLP_PRODUCT_BITS};
 use owlp_format::decode::DecodedOperand;
 use owlp_format::{
     encode_tensor, encode_tensor_into, Bf16, EncodedTensor, MappedTensor, PackedOperands,
-    PackedPanels,
+    PackedPanels, TagTable,
 };
 use serde::{Deserialize, Serialize};
 
@@ -325,40 +325,11 @@ pub fn owlp_gemm_decoded(
     owlp_gemm_packed(packed_a, packed_b, None, m, k, n, config, align)
 }
 
-/// Flat (CSR) outlier-tag table of one operand, built once per GEMM call:
-/// `tags[off[u]..off[u + 1]]` holds unit `u`'s `(exponent term, depth)`
-/// pairs, where `split` maps a flat position to `(unit, depth)` and the
-/// exponent term is `max(exp, 1)` (the PE's subnormal-outlier clamp). Each
-/// unit's slice is sorted by exponent, so every exponent group is one
-/// contiguous run and the first/last entries bound the unit's exponents.
-fn tag_table(
-    ops: &PackedOperands,
-    units: usize,
-    split: impl Fn(usize) -> (usize, usize),
-) -> (Vec<usize>, Vec<(i32, u32)>) {
-    let mut off = vec![0usize; units + 1];
-    for &p in ops.outlier_positions() {
-        off[split(p as usize).0 + 1] += 1;
-    }
-    for u in 0..units {
-        off[u + 1] += off[u];
-    }
-    let mut fill = off.clone();
-    let mut tags = vec![(0i32, 0u32); off[units]];
-    for (&p, &e) in ops.outlier_positions().iter().zip(ops.outlier_exps()) {
-        let (u, depth) = split(p as usize);
-        tags[fill[u]] = (e.max(1) as i32, depth as u32);
-        fill[u] += 1;
-    }
-    for u in 0..units {
-        tags[off[u]..off[u + 1]].sort_unstable();
-    }
-    (off, tags)
-}
-
 /// The full datapath drive loop, with optionally memoised weight panels.
 ///
-/// Under [`AlignUnit::Exact`] the m×n sweep runs in MR×NR register tiles:
+/// Under [`AlignUnit::Exact`] the m×n sweep runs in R×NR register tiles
+/// (R = 8 rows on AVX2, 4 elsewhere; an edge tile — the one-row decode GEMV
+/// included — runs only its live rows):
 /// the [`crate::microkernel`] computes each tile as an `i16×i16→i32`
 /// outer-product dot over the activation sval rows and one
 /// [`PackedPanels`] panel, partial-summing `i64` lanes that spill into a
@@ -379,14 +350,18 @@ fn tag_table(
 /// that escapes the window goes through a [`KulischAcc`]. Integer
 /// re-association is exact and each group sum is `< 2^30·k`, so every path
 /// computes the exact sum and rounds it once with the same RNE conversion:
-/// the result is bit-identical to driving the PE column. The outlier statistics count exactly the nonzero tagged
-/// products the PE's bypass path would carry. Runs under an
+/// the result is bit-identical to driving the PE column. The outlier
+/// statistics count exactly the nonzero tagged products the PE's bypass
+/// path would carry. Runs under an
 /// [`AlignUnit::Bounded`] policy are order-sensitive and keep the full
 /// [`PeColumn`] datapath.
 ///
 /// `panels` (when `Some` and shape-matched) must be
 /// `packed_b.pack_panels(k, n)` — [`PreparedTensor::with_shape`] memoises
-/// exactly that; mismatched or absent panels are rebuilt here.
+/// exactly that; mismatched or absent panels are rebuilt here. The
+/// weight's per-column tag table is memoised on the panels
+/// ([`PackedPanels::col_tags`]), so prepared weights group their tags once
+/// per tensor; rebuilt panels bring a fresh table, as before.
 ///
 /// # Errors
 ///
@@ -469,23 +444,9 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     let shared_w = packed_b.shared_exp();
     let fast_ok = matches!(align, AlignUnit::Exact);
     debug_assert!(fast_ok || !ABFT, "ABFT requires the exact align unit");
-    // Outlier-tag tables, hoisted out of the m×n sweep: per activation row
-    // and per weight column, the tagged depths grouped by exponent term.
-    let (row_off, row_tags) = tag_table(packed_a, m, |p| (p / k, p % k));
-    let (col_off, col_tags) = tag_table(packed_b, n, |p| (p % n, p / n));
-    // Dense activation exponent-term plane (0 = untagged), built only when
-    // the weights carry tags: a doubly-tagged depth looks up its activation
-    // exponent here in O(1).
-    let mut a_exp = vec![0u8; if col_tags.is_empty() { 0 } else { m * k }];
-    if !a_exp.is_empty() {
-        for (&p, &e) in packed_a
-            .outlier_positions()
-            .iter()
-            .zip(packed_a.outlier_exps())
-        {
-            a_exp[p as usize] = e.max(1);
-        }
-    }
+    // Activation-side tag table, built per call and hoisted out of the
+    // m×n sweep: per row, the tagged depths grouped by exponent term.
+    let row_tags = TagTable::rows(packed_a, m, k);
     let a_sval = packed_a.svals();
     let win0 = WindowAcc::for_owlp_normal(shared_a, shared_w, k);
     // Weight panels for the microkernel: reuse the caller's memoised set
@@ -500,9 +461,31 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     } else {
         None
     };
-    // All-zero activation row standing in for the `m % MR` edge rows: zero
-    // svals contribute nothing, so the full-size kernel handles edges.
-    let zero_row = vec![0i16; k];
+    // Weight-side tag table, per column: memoised on the panels, so a
+    // prepared weight groups its tags once per tensor, not once per call
+    // (the same contents a per-call build yields). Resolved before the
+    // fan-out so a lazy first build happens once, on this thread.
+    let col_tags = panels.map(|p| p.col_tags(packed_b));
+    // Dense activation exponent-term plane (0 = untagged), built only when
+    // the weights carry tags: a doubly-tagged depth looks up its activation
+    // exponent here in O(1).
+    let mut a_exp = vec![
+        0u8;
+        if col_tags.is_none_or(TagTable::is_empty) {
+            0
+        } else {
+            m * k
+        }
+    ];
+    if !a_exp.is_empty() {
+        for (&p, &e) in packed_a
+            .outlier_positions()
+            .iter()
+            .zip(packed_a.outlier_exps())
+        {
+            a_exp[p as usize] = e.max(1);
+        }
+    }
     // Cache-blocking geometry (BLIS-style Mc/Kc/Nc), resolved once before
     // the fan-out so the thread-local `with_block` override and the
     // `OWLP_BLOCK` environment knob apply at every thread count, exactly
@@ -531,11 +514,14 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
     // Resolved before the fan-out so a `with_tier` override on this thread
     // (tests, per-tier benches) applies inside every pool worker.
     let tier = microkernel::selected_tier();
-    // The widened 8×NR tile only pays on AVX2, where it amortizes one
-    // panel load + interleave over eight rows; on every other tier it
-    // would compute the same two MR-tile calls the 4-row loop already
-    // makes, so those tiers keep the narrow shape.
-    let use_x8 = tier == microkernel::KernelTier::Avx2;
+    // Full tile height: eight rows on AVX2, where the kernel amortizes one
+    // panel load + interleave over them, four on every other tier. Edge
+    // tiles of fewer rows run the same row-generic kernels.
+    let tile_rows = if tier == microkernel::KernelTier::Avx2 {
+        MR8
+    } else {
+        MR
+    };
     let tiles = owlp_par::map_chunks_weighted(n, grain, col_ops, |cols| {
         let j0 = cols.start;
         let mut values;
@@ -548,6 +534,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
         let mut sums = ABFT.then(|| (vec![0i128; m], vec![0i128; cols.len()]));
         if fast_ok {
             let panels = panels.expect("panels are built whenever the fast path runs");
+            let col_tags = col_tags.expect("the column table comes with the panels");
             values = vec![0.0f32; cols.len() * m];
             // Reused across tiles: the current row's exponent groups on the
             // current panel, and the current element's Kulisch-bound terms
@@ -555,17 +542,13 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
             let mut groups: Vec<(i32, [i64; NR])> = Vec::new();
             let mut escaped: Vec<(i64, i32)> = Vec::new();
             let mut doubly: Vec<(i64, i32, i32)> = Vec::new();
-            // Finalizes one MR×NR window tile into `values`: the sanctioned
+            // Finalizes a tile's window rows into `values`: the sanctioned
             // strike, the ABFT checksum partials, and the grouped outlier
             // correction. Shared by the single-stripe path (windows straight
             // out of `tile_dot`) and the multi-stripe path (windows rebuilt
             // from the persistent lane plane), so the correction logic
             // exists in exactly one copy.
-            let mut finalize_tile = |wins: &[[WindowAcc; NR]; MR],
-                                     ib: usize,
-                                     jb: usize,
-                                     panel: &[i16]| {
-                let mr = MR.min(m - ib);
+            let mut finalize = |wins: &[[WindowAcc; NR]], ib: usize, jb: usize, panel: &[i16]| {
                 let nr = NR.min(cols.end - jb);
                 // The sanctioned upset lands on the raw lane *before*
                 // checksum collection: output and checksums corrupt
@@ -573,11 +556,15 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                 let mut struck;
                 let wins = match strike {
                     Some(s)
-                        if ABFT && (ib..ib + mr).contains(&s.i) && (jb..jb + nr).contains(&s.j) =>
+                        if ABFT
+                            && (ib..ib + wins.len()).contains(&s.i)
+                            && (jb..jb + nr).contains(&s.j) =>
                     {
-                        struck = *wins;
+                        struck = [[win0; NR]; MR8];
+                        let struck = &mut struck[..wins.len()];
+                        struck.copy_from_slice(wins);
                         struck[s.i - ib][s.j - jb].toggle_bit(s.bit);
-                        &struck
+                        &*struck
                     }
                     _ => wins,
                 };
@@ -589,7 +576,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                 if ABFT {
                     if let Some((rs, cs)) = sums.as_mut() {
                         let mut tile_cs = [0i128; NR];
-                        for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                        for (r, wins_row) in wins.iter().enumerate() {
                             let mut row = 0i128;
                             for (c, w) in wins_row.iter().enumerate().take(nr) {
                                 row += w.raw();
@@ -602,9 +589,9 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                         }
                     }
                 }
-                for (r, wins_row) in wins.iter().enumerate().take(mr) {
+                for (r, wins_row) in wins.iter().enumerate() {
                     let i = ib + r;
-                    let rtags = &row_tags[row_off[i]..row_off[i + 1]];
+                    let rtags = row_tags.unit(i);
                     let row_sval = &a_sval[i * k..(i + 1) * k];
                     let row_exp = a_exp.get(i * k..(i + 1) * k).unwrap_or_default();
                     // Panel-wide activation groups: per outlier
@@ -654,7 +641,7 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                     };
                     for (c, &tile_win) in wins_row.iter().enumerate().take(nr) {
                         let j = jb + c;
-                        let ctags = &col_tags[col_off[j]..col_off[j + 1]];
+                        let ctags = col_tags.unit(j);
                         let mut win = tile_win;
                         let out_idx = (j - cols.start) * m + i;
                         if rtags.is_empty() && ctags.is_empty() {
@@ -770,10 +757,10 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
             // geometry — produces bit-identical output at every tier.
             let single_stripe = k <= kc;
             // Persistent per-Nc-block accumulator planes for the
-            // multi-stripe path, allocated lazily and reused across blocks.
-            let row_tiles = m.div_ceil(MR);
-            let mut lane_tiles: Vec<[[i64; NR]; MR]> = Vec::new();
-            let mut spill_tiles: Vec<[[WindowAcc; NR]; MR]> = Vec::new();
+            // multi-stripe path, one NR-wide row per (panel, activation
+            // row), allocated lazily and reused across blocks.
+            let mut lane_rows: Vec<[i64; NR]> = Vec::new();
+            let mut spill_rows: Vec<[WindowAcc; NR]> = Vec::new();
             let mut jc = cols.start;
             while jc < cols.end {
                 let hi_col = (jc + nc).min(cols.end);
@@ -781,58 +768,46 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                     // One Kc stripe covers the whole depth: windows go
                     // straight from registers into the finalize pass — the
                     // pre-blocking structure with Mc/Nc loop shaping on top.
+                    let mut wins = [[win0; NR]; MR8];
                     for ic in (0..m).step_by(mc) {
                         let ic_end = (ic + mc).min(m);
                         for jb in (jc..hi_col).step_by(NR) {
                             let panel = panels.panel(jb / NR);
-                            let mut ib = ic;
-                            while ib < ic_end {
-                                if use_x8 && ib + MR8 <= ic_end {
-                                    let a8: [&[i16]; MR8] = std::array::from_fn(|r| {
+                            for ib in (ic..ic_end).step_by(tile_rows) {
+                                // Row-exact tiles: an edge tile runs only
+                                // its live rows. The microkernel covers the
+                                // outlier-free bulk: every product is an
+                                // integer < 2^30 on the shared frame
+                                // (outlier svals included as their
+                                // as-if-normal value, corrected in the
+                                // finalize), so regrouping into register
+                                // tiles cannot change the exact sum.
+                                let rows = tile_rows.min(ic_end - ib);
+                                with_rows!(rows, R => {
+                                    let a_rows: [&[i16]; R] = std::array::from_fn(|r| {
                                         &a_sval[(ib + r) * k..(ib + r + 1) * k]
                                     });
-                                    let [w0, w1] =
-                                        microkernel::tile_dot_i16_x8_with(tier, a8, panel, win0);
-                                    finalize_tile(&w0, ib, jb, panel);
-                                    finalize_tile(&w1, ib + MR, jb, panel);
-                                    ib += MR8;
-                                } else {
-                                    let mr = MR.min(ic_end - ib);
-                                    let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-                                        if r < mr {
-                                            &a_sval[(ib + r) * k..(ib + r + 1) * k]
-                                        } else {
-                                            zero_row.as_slice()
-                                        }
-                                    });
-                                    // The microkernel covers the outlier-free
-                                    // bulk: every product is an integer
-                                    // < 2^30 on the shared frame (outlier
-                                    // svals included as their as-if-normal
-                                    // value, corrected in the finalize), so
-                                    // regrouping into register tiles cannot
-                                    // change the exact per-element sum.
-                                    let wins =
-                                        microkernel::tile_dot_i16_with(tier, a_rows, panel, win0);
-                                    finalize_tile(&wins, ib, jb, panel);
-                                    ib += MR;
-                                }
+                                    wins[..R].copy_from_slice(&microkernel::tile_dot_i16_with(
+                                        tier, a_rows, panel, win0,
+                                    ));
+                                });
+                                finalize(&wins[..rows], ib, jb, panel);
                             }
                         }
                     }
                 } else {
                     // Multi-stripe: Kc stripes accumulate into a persistent
-                    // tile-major i64 lane plane covering this Nc block;
-                    // depths beyond the spill period flush into a lazy
-                    // WindowAcc spill plane first. Each flush boundary is
-                    // just another association order of the same exact sum.
+                    // i64 lane plane covering this Nc block; depths beyond
+                    // the spill period flush into a lazy WindowAcc spill
+                    // plane first. Each flush boundary is just another
+                    // association order of the same exact sum.
                     let groups = (hi_col - jc).div_ceil(NR);
-                    lane_tiles.clear();
-                    lane_tiles.resize(groups * row_tiles, [[0i64; NR]; MR]);
+                    lane_rows.clear();
+                    lane_rows.resize(groups * m, [0i64; NR]);
                     let spill = k > microkernel::K_SPILL;
                     if spill {
-                        spill_tiles.clear();
-                        spill_tiles.resize(groups * row_tiles, [[win0; NR]; MR]);
+                        spill_rows.clear();
+                        spill_rows.resize(groups * m, [win0; NR]);
                     }
                     let mut depth = 0usize;
                     let mut pc = 0usize;
@@ -840,11 +815,9 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                         let kcl = kc.min(k - pc);
                         if depth + kcl > microkernel::K_SPILL {
                             debug_assert!(spill, "flush only occurs when k > K_SPILL");
-                            for (lt, st) in lane_tiles.iter_mut().zip(spill_tiles.iter_mut()) {
-                                for (lr, sr) in lt.iter_mut().zip(st.iter_mut()) {
-                                    for (lane, w) in lr.iter_mut().zip(sr.iter_mut()) {
-                                        w.add_aligned(std::mem::take(lane));
-                                    }
+                            for (lr, sr) in lane_rows.iter_mut().zip(spill_rows.iter_mut()) {
+                                for (lane, w) in lr.iter_mut().zip(sr.iter_mut()) {
+                                    w.add_aligned(std::mem::take(lane));
                                 }
                             }
                             depth = 0;
@@ -854,41 +827,18 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                             for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
                                 let panel = panels.panel(jb / NR);
                                 let stripe = &panel[pc * NR..(pc + kcl) * NR];
-                                let mut ib = ic;
-                                while ib < ic_end {
-                                    let t = g * row_tiles + ib / MR;
-                                    if use_x8 && ib + MR8 <= ic_end {
-                                        let a8: [&[i16]; MR8] = std::array::from_fn(|r| {
+                                for ib in (ic..ic_end).step_by(tile_rows) {
+                                    let rows = tile_rows.min(ic_end - ib);
+                                    let lanes = &mut lane_rows[g * m + ib..][..rows];
+                                    with_rows!(rows, R => {
+                                        let a_rows: [&[i16]; R] = std::array::from_fn(|r| {
                                             let row = (ib + r) * k;
                                             &a_sval[row + pc..row + pc + kcl]
                                         });
-                                        let (lo_t, hi_t) = lane_tiles.split_at_mut(t + 1);
-                                        microkernel::tile_mul_i16_x8_with(
-                                            tier,
-                                            a8,
-                                            stripe,
-                                            &mut lo_t[t],
-                                            &mut hi_t[0],
-                                        );
-                                        ib += MR8;
-                                    } else {
-                                        let mr = MR.min(ic_end - ib);
-                                        let a_rows: [&[i16]; MR] = std::array::from_fn(|r| {
-                                            if r < mr {
-                                                let row = (ib + r) * k;
-                                                &a_sval[row + pc..row + pc + kcl]
-                                            } else {
-                                                &zero_row[..kcl]
-                                            }
-                                        });
-                                        microkernel::tile_mul_i16_with(
-                                            tier,
-                                            a_rows,
-                                            stripe,
-                                            &mut lane_tiles[t],
-                                        );
-                                        ib += MR;
-                                    }
+                                        let lanes: &mut [[i64; NR]; R] =
+                                            lanes.try_into().expect("one lane row per tile row");
+                                        microkernel::tile_mul_i16_with(tier, a_rows, stripe, lanes);
+                                    });
                                 }
                             }
                         }
@@ -898,18 +848,19 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
                     // Finalize pass: rebuild each tile's windows from the
                     // lane plane (plus the spill plane when one exists) and
                     // run the shared strike/checksum/correction logic.
+                    let mut wins = [[win0; NR]; MR8];
                     for (g, jb) in (jc..hi_col).step_by(NR).enumerate() {
                         let panel = panels.panel(jb / NR);
-                        for ib in (0..m).step_by(MR) {
-                            let t = g * row_tiles + ib / MR;
-                            let wins: [[WindowAcc; NR]; MR] = std::array::from_fn(|r| {
-                                std::array::from_fn(|c| {
-                                    let mut w = if spill { spill_tiles[t][r][c] } else { win0 };
-                                    w.add_aligned(lane_tiles[t][r][c]);
-                                    w
-                                })
-                            });
-                            finalize_tile(&wins, ib, jb, panel);
+                        for ib in (0..m).step_by(MR8) {
+                            let rows = MR8.min(m - ib);
+                            let t = g * m + ib;
+                            for (r, row) in wins[..rows].iter_mut().enumerate() {
+                                for (c, w) in row.iter_mut().enumerate() {
+                                    *w = if spill { spill_rows[t + r][c] } else { win0 };
+                                    w.add_aligned(lane_rows[t + r][c]);
+                                }
+                            }
+                            finalize(&wins[..rows], ib, jb, panel);
                         }
                     }
                 }
@@ -953,9 +904,11 @@ fn owlp_gemm_packed_impl<const ABFT: bool>(
             }
             dst.cols[j0..j0 + cs.len()].copy_from_slice(&cs);
         }
-        for (idx, v) in values.into_iter().enumerate() {
-            let (dj, i) = (idx / m.max(1), idx % m.max(1));
-            output[i * n + j0 + dj] = v;
+        // Each chunk holds its columns back to back, `m` values apiece.
+        for (dj, col) in values.chunks_exact(m.max(1)).enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                output[i * n + j0 + dj] = v;
+            }
         }
     }
     Ok((

@@ -42,7 +42,7 @@ pub(crate) fn round_u128_to_f32(abs: u128, frame: i32, extra_sticky: bool, negat
         // Fewer than 24 significant bits available: exact, no rounding.
         // (abs < 2^24 here, so the f64 product below is exact.)
         debug_assert!(abs < 1 << 24);
-        abs as f64 * (frame as f64).exp2()
+        abs as f64 * pow2(frame)
     } else {
         let kept = (abs >> cut) as u64;
         let guard = abs & (1u128 << (cut - 1)) != 0;
@@ -53,7 +53,7 @@ pub(crate) fn round_u128_to_f32(abs: u128, frame: i32, extra_sticky: bool, negat
         } else {
             kept
         };
-        rounded as f64 * ((frame + cut) as f64).exp2()
+        rounded as f64 * pow2(frame + cut)
     };
     let signed = if negative { -value } else { value };
     // `value` is exactly on the f32 grid (or overflows), so this conversion
@@ -61,9 +61,32 @@ pub(crate) fn round_u128_to_f32(abs: u128, frame: i32, extra_sticky: bool, negat
     signed as f32
 }
 
+/// `2^e` as an `f64`, built from its exponent bits. Both callers scale by
+/// at least `2^-149` (the f32 subnormal grid), so `e` never needs an f64
+/// subnormal; above f64's range the product overflows f32 anyway, and
+/// `+∞` saturates it the same way.
+#[inline]
+fn pow2(e: i32) -> f64 {
+    debug_assert!(e >= -1022, "scale below f64's normal range");
+    if e > 1023 {
+        f64::INFINITY
+    } else {
+        f64::from_bits(((e + 1023) as u64) << 52)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pow2_matches_exp2_across_the_normal_range() {
+        for e in -1022..=1023 {
+            assert_eq!(pow2(e).to_bits(), (e as f64).exp2().to_bits(), "2^{e}");
+        }
+        assert_eq!(pow2(1024), f64::INFINITY);
+        assert_eq!(pow2(5000), (5000f64).exp2());
+    }
 
     #[test]
     fn exact_small_values() {

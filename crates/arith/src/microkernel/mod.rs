@@ -48,14 +48,19 @@
 //! [`tile_dot_i32`] stays scalar (SSE2 has no signed widening 32-bit
 //! multiply); all other entry points vectorize on every non-scalar tier.
 //!
-//! The kernel computes an [`MR`]×[`NR`] output tile per call: `MR` rows
+//! The `i16` kernels compute an `R`×[`NR`] output tile per call: `R` rows
 //! of A (flat sval slices) against one [`owlp_format::PackedPanels`]
-//! panel of `NR` interleaved weight columns. Callers pad edge tiles with
-//! an all-zero row / rely on the panel's zero-padded columns — zero
-//! svals contribute nothing, so there are no edge-case variants to
-//! diverge from the proof above. Panels may carry zero-padded depths
-//! beyond the K segment ([`owlp_format::PackedPanels::padded_k`]); the
-//! kernels only require `panel.len() ≥ seg·NR`.
+//! panel of `NR` interleaved weight columns. `R` is a const generic
+//! (`1..=`[`MR8`]) and each tier has **one** row-generic body, so an edge
+//! tile of `m % R` rows — the one-row decode GEMV included — runs exactly
+//! its live rows and pays nothing for absent ones; the drive loops hand a
+//! runtime row count to the const bodies through `with_rows!`. Edge
+//! columns rely on the panel's zero-padded columns — zero svals
+//! contribute nothing. Every row count runs the same per-row instruction
+//! sequence, so the proof above covers all of them. Panels may carry
+//! zero-padded depths beyond the K segment
+//! ([`owlp_format::PackedPanels::padded_k`]); the kernels only require
+//! `panel.len() ≥ seg·NR`.
 //!
 //! The `i32` twin ([`tile_dot_i32`]) serves the exact-GEMM band path,
 //! where in-band aligned magnitudes span up to 31 bits; its caller sizes
@@ -75,8 +80,15 @@ pub use dispatch::{
 
 use crate::window::WindowAcc;
 
-/// Output-tile rows per microkernel call.
+/// Output-tile rows of the narrow register tile — what the SSE2, NEON
+/// and scalar tiers (and the `i32` band kernel) run per call.
 pub const MR: usize = 4;
+
+/// Output-tile rows of the widened AVX2 register tile: the AVX2 kernel
+/// amortizes one panel load + interleave over eight A rows, where every
+/// other tier would only split the same work into two `MR`-row calls.
+/// Also the largest row count the `i16` tile kernels accept.
+pub const MR8: usize = 2 * MR;
 
 /// Output-tile columns per microkernel call — fixed by the panel layout.
 pub const NR: usize = owlp_format::packed::PANEL_NR;
@@ -86,16 +98,40 @@ pub const NR: usize = owlp_format::packed::PANEL_NR;
 /// provably exact in `i64` (see the module docs).
 pub const K_SPILL: usize = 1 << 14;
 
-/// Multiplies one K-segment of an MR×NR tile into the `i64` lane array:
+/// Runs `$body` with the const `$r` bound to the runtime row count
+/// `$rows` (`1..=MR8`): how a drive loop hands an edge tile's live row
+/// count to the row-generic tile kernels.
+macro_rules! with_rows {
+    ($rows:expr, $r:ident => $body:expr) => {
+        $crate::microkernel::with_rows!(@arms $rows, $r, $body, 1 2 3 4 5 6 7 8)
+    };
+    (@arms $rows:expr, $r:ident, $body:expr, $($n:literal)*) => {
+        match $rows {
+            $($n => {
+                const $r: usize = $n;
+                $body
+            })*
+            rows => unreachable!("tile of {rows} rows"),
+        }
+    };
+}
+pub(crate) use with_rows;
+const _: () = assert!(MR8 == 8, "with_rows! has one arm per row count 1..=MR8");
+
+/// Multiplies one K-segment of an `R`×NR tile into the `i64` lane array:
 /// `lanes[r][c] += Σ_kk a_rows[r][kk] · panel[kk·NR + c]`, on the
 /// process-selected tier.
 ///
-/// `a_rows` are `seg`-long sval slices (pad missing edge rows with a zero
-/// slice); `panel` is a K-major panel segment of at least `seg·NR`
-/// entries (extra zero-padded depths are ignored). The caller must spill
-/// at least every [`K_SPILL`] terms.
+/// `a_rows` are `seg`-long sval slices, `1 ≤ R ≤ MR8`; `panel` is a
+/// K-major panel segment of at least `seg·NR` entries (extra zero-padded
+/// depths are ignored). The caller must spill at least every [`K_SPILL`]
+/// terms.
 #[inline]
-pub fn tile_mul_i16(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR]; MR]) {
+pub fn tile_mul_i16<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    lanes: &mut [[i64; NR]; R],
+) {
     tile_mul_i16_with(selected_tier(), a_rows, panel, lanes);
 }
 
@@ -103,12 +139,13 @@ pub fn tile_mul_i16(a_rows: [&[i16]; MR], panel: &[i16], lanes: &mut [[i64; NR];
 /// loops use so a tier resolved before a parallel fan-out applies on
 /// every worker thread.
 #[inline]
-pub fn tile_mul_i16_with(
+pub fn tile_mul_i16_with<const R: usize>(
     tier: KernelTier,
-    a_rows: [&[i16]; MR],
+    a_rows: [&[i16]; R],
     panel: &[i16],
-    lanes: &mut [[i64; NR]; MR],
+    lanes: &mut [[i64; NR]; R],
 ) {
+    const { assert!(R >= 1 && R <= MR8, "tile rows out of range") };
     let seg = a_rows[0].len();
     debug_assert!(seg <= K_SPILL, "segment longer than the spill period");
     debug_assert!(a_rows.iter().all(|r| r.len() == seg));
@@ -125,123 +162,39 @@ pub fn tile_mul_i16_with(
     }
 }
 
-/// Output-tile rows of the widened `8×NR` register tier: two vertically
-/// stacked `MR×NR` tiles sharing one panel load stream. The AVX2 kernel
-/// amortizes the panel load + in-register interleave over eight A rows;
-/// every other tier computes the identical exact lanes as two `MR` tile
-/// calls, so the drive loops only *prefer* the widened shape on AVX2.
-pub const MR8: usize = 2 * MR;
-
-/// Multiplies one K-segment of an 8×NR tile into two stacked `i64` lane
-/// tiles (`lo` = rows `0..MR`, `hi` = rows `MR..MR8`), on the
-/// process-selected tier. Contract as [`tile_mul_i16`].
-#[inline]
-pub fn tile_mul_i16_x8(
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    lo: &mut [[i64; NR]; MR],
-    hi: &mut [[i64; NR]; MR],
-) {
-    tile_mul_i16_x8_with(selected_tier(), a_rows, panel, lo, hi);
-}
-
-/// [`tile_mul_i16_x8`] on an explicit (clamped) tier.
-#[inline]
-pub fn tile_mul_i16_x8_with(
-    tier: KernelTier,
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    lo: &mut [[i64; NR]; MR],
-    hi: &mut [[i64; NR]; MR],
-) {
-    let seg = a_rows[0].len();
-    debug_assert!(seg <= K_SPILL, "segment longer than the spill period");
-    debug_assert!(a_rows.iter().all(|r| r.len() == seg));
-    debug_assert!(panel.len() >= seg * NR, "panel shorter than the K segment");
-    match dispatch::clamp(tier) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamp` only yields Avx2 when runtime detection saw it.
-        KernelTier::Avx2 => unsafe { x86::tile_mul_i16_x8_avx2(a_rows, panel, lo, hi) },
-        t => {
-            // No widened kernel below AVX2: two MR-tile calls on the same
-            // tier accumulate the identical exact integer lanes (the split
-            // is pure re-association of disjoint row sums).
-            let first: [&[i16]; MR] = std::array::from_fn(|r| a_rows[r]);
-            let second: [&[i16]; MR] = std::array::from_fn(|r| a_rows[MR + r]);
-            tile_mul_i16_with(t, first, panel, lo);
-            tile_mul_i16_with(t, second, panel, hi);
-        }
-    }
-}
-
-/// Full-depth MR×NR tile: segments of [`K_SPILL`] terms accumulate in
+/// Full-depth `R`×NR tile: segments of [`K_SPILL`] terms accumulate in
 /// `i64` lanes and spill into per-element [`WindowAcc`]s cloned from
 /// `win0` (the shared-frame window of the GEMM call).
 #[inline]
-pub fn tile_dot_i16(a_rows: [&[i16]; MR], panel: &[i16], win0: WindowAcc) -> [[WindowAcc; NR]; MR] {
+pub fn tile_dot_i16<const R: usize>(
+    a_rows: [&[i16]; R],
+    panel: &[i16],
+    win0: WindowAcc,
+) -> [[WindowAcc; NR]; R] {
     tile_dot_i16_with(selected_tier(), a_rows, panel, win0)
 }
 
 /// [`tile_dot_i16`] on an explicit tier (clamped once up front).
 #[inline]
-pub fn tile_dot_i16_with(
+pub fn tile_dot_i16_with<const R: usize>(
     tier: KernelTier,
-    a_rows: [&[i16]; MR],
+    a_rows: [&[i16]; R],
     panel: &[i16],
     win0: WindowAcc,
-) -> [[WindowAcc; NR]; MR] {
+) -> [[WindowAcc; NR]; R] {
     let tier = dispatch::clamp(tier);
     let k = a_rows[0].len();
     debug_assert!(panel.len() >= k * NR);
-    let mut wins = [[win0; NR]; MR];
-    let mut lanes = [[0i64; NR]; MR];
+    let mut wins = [[win0; NR]; R];
+    let mut lanes = [[0i64; NR]; R];
     let mut s = 0usize;
     while s < k {
         let seg = K_SPILL.min(k - s);
-        let sub: [&[i16]; MR] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
+        let sub: [&[i16]; R] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
         tile_mul_i16_with(tier, sub, &panel[s * NR..(s + seg) * NR], &mut lanes);
         for (wr, lr) in wins.iter_mut().zip(&mut lanes) {
             for (w, lane) in wr.iter_mut().zip(lr.iter_mut()) {
                 w.add_aligned(std::mem::take(lane));
-            }
-        }
-        s += seg;
-    }
-    wins
-}
-
-/// Full-depth 8×NR tile (see [`MR8`]): [`tile_dot_i16_with`] for two
-/// stacked MR tiles, returned as `[lower rows, upper rows]` so the
-/// finalize passes keep consuming `MR×NR` window tiles unchanged.
-#[inline]
-pub fn tile_dot_i16_x8_with(
-    tier: KernelTier,
-    a_rows: [&[i16]; MR8],
-    panel: &[i16],
-    win0: WindowAcc,
-) -> [[[WindowAcc; NR]; MR]; 2] {
-    let tier = dispatch::clamp(tier);
-    let k = a_rows[0].len();
-    debug_assert!(panel.len() >= k * NR);
-    let mut wins = [[[win0; NR]; MR]; 2];
-    let mut lanes = [[[0i64; NR]; MR]; 2];
-    let mut s = 0usize;
-    while s < k {
-        let seg = K_SPILL.min(k - s);
-        let sub: [&[i16]; MR8] = std::array::from_fn(|r| &a_rows[r][s..s + seg]);
-        let (l0, l1) = lanes.split_at_mut(1);
-        tile_mul_i16_x8_with(
-            tier,
-            sub,
-            &panel[s * NR..(s + seg) * NR],
-            &mut l0[0],
-            &mut l1[0],
-        );
-        for (wt, lt) in wins.iter_mut().zip(&mut lanes) {
-            for (wr, lr) in wt.iter_mut().zip(lt.iter_mut()) {
-                for (w, lane) in wr.iter_mut().zip(lr.iter_mut()) {
-                    w.add_aligned(std::mem::take(lane));
-                }
             }
         }
         s += seg;
@@ -335,7 +288,7 @@ pub fn tile_dot_i32_with(tier: KernelTier, a_rows: [&[i32]; MR], panel: &[i32]) 
 /// current selection — they differ only where an ISA level lacks the
 /// needed instruction (Sse2's `tile_dot_i32`). For `repro features` and
 /// the bench report.
-pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
+pub fn entry_point_tiers() -> [(&'static str, KernelTier); 3] {
     let t = selected_tier();
     let i32_tier = if t == KernelTier::Sse2 {
         KernelTier::Scalar
@@ -344,7 +297,6 @@ pub fn entry_point_tiers() -> [(&'static str, KernelTier); 4] {
     };
     [
         ("tile_dot_i16", t),
-        ("tile_dot_i16_x8", t),
         ("tile_dot_i32", i32_tier),
         ("dot_sval", t),
     ]
@@ -439,19 +391,50 @@ mod tests {
         let oracle_lo = tile_dot_i16_with(KernelTier::Scalar, lo_rows, panels.panel(0), win0);
         let oracle_hi = tile_dot_i16_with(KernelTier::Scalar, hi_rows, panels.panel(0), win0);
         for &tier in available_tiers() {
-            let [w0, w1] = tile_dot_i16_x8_with(tier, a8, panels.panel(0), win0);
+            let w = tile_dot_i16_with(tier, a8, panels.panel(0), win0);
             for r in 0..MR {
                 for c in 0..NR {
                     assert_eq!(
-                        w0[r][c].raw(),
+                        w[r][c].raw(),
                         oracle_lo[r][c].raw(),
                         "tier {tier} lo ({r},{c})"
                     );
                     assert_eq!(
-                        w1[r][c].raw(),
+                        w[MR + r][c].raw(),
                         oracle_hi[r][c].raw(),
                         "tier {tier} hi ({r},{c})"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_count_matches_the_scalar_tier() {
+        // Each live row of an R-row tile equals the same row computed
+        // alone on the scalar tier: rows never interact, at any R.
+        let k = K_SPILL + 21; // spill crossing + odd remainder for the tails
+        let a: Vec<Bf16> = normals(MR8 * k, 77);
+        let b: Vec<Bf16> = normals(k * NR, 88);
+        let ea = encode_tensor(&a, None).unwrap();
+        let eb = encode_tensor(&b, None).unwrap();
+        let (pa, pb) = (ea.decode_packed(), eb.decode_packed());
+        let panels = pb.pack_panels(k, NR);
+        let win0 = WindowAcc::for_owlp_normal(ea.shared_exp(), eb.shared_exp(), k);
+        let row = |r: usize| &pa.svals()[r * k..(r + 1) * k];
+        let oracle: Vec<[WindowAcc; NR]> = (0..MR8)
+            .map(|r| tile_dot_i16_with(KernelTier::Scalar, [row(r)], panels.panel(0), win0)[0])
+            .collect();
+        for &tier in available_tiers() {
+            for rows in 1..=MR8 {
+                let got: Vec<[WindowAcc; NR]> = with_rows!(rows, R => {
+                    let a_rows: [&[i16]; R] = std::array::from_fn(row);
+                    tile_dot_i16_with(tier, a_rows, panels.panel(0), win0).to_vec()
+                });
+                for (r, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                    for c in 0..NR {
+                        assert_eq!(g[c].raw(), o[c].raw(), "tier {tier} R={rows} ({r},{c})");
+                    }
                 }
             }
         }
@@ -585,7 +568,7 @@ mod tests {
     #[test]
     fn entry_point_tiers_are_consistent() {
         let tiers = entry_point_tiers();
-        assert_eq!(tiers.len(), 4);
+        assert_eq!(tiers.len(), 3);
         for (name, tier) in tiers {
             assert!(
                 available_tiers().contains(&tier),

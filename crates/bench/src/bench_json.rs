@@ -502,6 +502,44 @@ fn dense_ffn_down_operands(
     (a, w)
 }
 
+/// An OwL-P GEMM on [`dense_ffn_down_operands`] with the weight prepared
+/// once and the activations streamed through one reused scratch, as the
+/// forward pass runs its weight GEMMs. Bit-identity covers the exact
+/// engine as well as serial vs parallel.
+fn prepared_ffn_down_case(
+    name: &str,
+    m: usize,
+    k: usize,
+    n: usize,
+    reps: usize,
+    threads: usize,
+) -> BenchCase {
+    let (a, w) = dense_ffn_down_operands(m, k, n);
+    let prepared = owlp_arith::PreparedTensor::with_shape(&w, k, n).expect("finite inputs");
+    let mut scratch = owlp_arith::GemmScratch::default();
+    let bits = |r: &owlp_arith::OwlpGemmOutput| -> Vec<u32> {
+        r.output.iter().map(|v| v.to_bits()).collect()
+    };
+    let owlp = owlp_arith::owlp_gemm_prepared(&a, &prepared, m, k, n).expect("finite inputs");
+    let exact = owlp_arith::exact_gemm(&a, &w, m, k, n);
+    let exact_identical = bits(&owlp) == exact.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let act_ratio = owlp.act_outliers as f64 / (m * k) as f64;
+    let mut c = case(
+        name,
+        format!("{m}x{k}x{n}, {:.1}% act outliers", 100.0 * act_ratio),
+        2 * (m * k * n) as u64,
+        reps,
+        threads,
+        || {
+            owlp_arith::owlp_gemm_prepared_with(&a, &prepared, m, k, n, &mut scratch)
+                .expect("finite inputs")
+        },
+        bits,
+    );
+    c.bit_identical &= exact_identical;
+    c
+}
+
 /// Runs the suite. `smoke` shrinks shapes and repetitions so CI can afford
 /// it on every push.
 pub fn run(smoke: bool) -> BenchReport {
@@ -640,37 +678,37 @@ pub fn run(smoke: bool) -> BenchReport {
     // 9. Outlier-dense OwL-P GEMM at the FFN-down shape, as the forward
     //    pass runs it: calibrated-profile weights prepared once, and GELU
     //    outputs of the calibrated FFN-down activation profile streamed
-    //    through one reused scratch. Bit-identity covers the exact engine
-    //    as well as serial vs parallel.
+    //    through one reused scratch.
     let (m, k, n) = if smoke {
         (32, 256, 128)
     } else {
         (128, 2048, 512)
     };
-    let (a, w) = dense_ffn_down_operands(m, k, n);
-    let prepared = owlp_arith::PreparedTensor::with_shape(&w, k, n).expect("finite inputs");
-    let mut scratch = owlp_arith::GemmScratch::default();
-    let bits = |r: &owlp_arith::OwlpGemmOutput| -> Vec<u32> {
-        r.output.iter().map(|v| v.to_bits()).collect()
-    };
-    let owlp = owlp_arith::owlp_gemm_prepared(&a, &prepared, m, k, n).expect("finite inputs");
-    let exact = owlp_arith::exact_gemm(&a, &w, m, k, n);
-    let exact_identical = bits(&owlp) == exact.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let act_ratio = owlp.act_outliers as f64 / (m * k) as f64;
-    let mut dense = case(
+    cases.push(prepared_ffn_down_case(
         "gemm-owlp-dense",
-        format!("{m}x{k}x{n}, {:.1}% act outliers", 100.0 * act_ratio),
-        2 * (m * k * n) as u64,
+        m,
+        k,
+        n,
         reps,
         threads,
-        || {
-            owlp_arith::owlp_gemm_prepared_with(&a, &prepared, m, k, n, &mut scratch)
-                .expect("finite inputs")
-        },
-        bits,
-    );
-    dense.bit_identical &= exact_identical;
-    cases.push(dense);
+    ));
+
+    // 10. The decode GEMV: one token's activation row against a prepared
+    //     weight, on the same calibrated profiles — the weight-streaming
+    //     shape a decode step runs once per weight matrix.
+    let (m, k, n) = if smoke {
+        (1, 512, 256)
+    } else {
+        (1, 4096, 1024)
+    };
+    cases.push(prepared_ffn_down_case(
+        "gemm-owlp-gemv",
+        m,
+        k,
+        n,
+        reps,
+        threads,
+    ));
 
     BenchReport {
         schema: SCHEMA,
@@ -1409,9 +1447,14 @@ mod tests {
         let r = owlp_par::with_threads(2, || run(true));
         assert_eq!(r.schema, SCHEMA);
         assert!(r.smoke);
-        assert_eq!(r.cases.len(), 9);
+        assert_eq!(r.cases.len(), 10);
         assert_eq!(r.requested_threads, 2);
-        for name in ["gemm-exact-large", "gemm-owlp-large", "gemm-owlp-dense"] {
+        for name in [
+            "gemm-exact-large",
+            "gemm-owlp-large",
+            "gemm-owlp-dense",
+            "gemm-owlp-gemv",
+        ] {
             assert!(
                 r.cases.iter().any(|c| c.name == name),
                 "large case {name} missing"
@@ -1457,7 +1500,7 @@ mod tests {
             Some("scalar")
         );
         assert_eq!(r.simd.tiers.len(), 2 * r.simd.available_tiers.len());
-        assert_eq!(r.simd.entry_points.len(), 4);
+        assert_eq!(r.simd.entry_points.len(), 3);
         assert!(
             r.simd.tiers_bit_identical,
             "a kernel tier diverged from the scalar oracle"

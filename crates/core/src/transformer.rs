@@ -107,17 +107,16 @@ fn tensor_name(l: usize, t: usize) -> String {
     format!("layer{l}/{}", NAMES[t])
 }
 
-/// Per-layer weights in BF16 (as the accelerator stores them), each paired
-/// with its OwL-P-prepared form (encoded, packed, **and panel-tiled** once
-/// at construction, so repeated forward passes — a serving loop's decode
-/// iterations — never re-encode, re-decode, or re-tile a weight tensor).
+/// Per-layer weights in their OwL-P-prepared form only (encoded, packed,
+/// **and panel-tiled** once at construction, so repeated forward passes —
+/// a serving loop's decode iterations — never re-encode, re-decode, or
+/// re-tile a weight tensor). The packed planes are lossless: the
+/// reference engines and the archive writer rebuild the BF16 values on
+/// demand ([`owlp_format::PackedOperands::to_bf16_vec`]) instead of
+/// keeping a second copy of every weight.
 #[derive(Debug, Clone, PartialEq)]
 struct LayerWeights {
-    wqkv: Vec<Bf16>,               // hidden × 3·hidden
-    wo: Vec<Bf16>,                 // hidden × hidden
-    w1: Vec<Bf16>,                 // hidden × ffn
-    w2: Vec<Bf16>,                 // ffn × hidden
-    prepared: [PreparedTensor; 4], // wqkv, wo, w1, w2 — same order
+    prepared: [PreparedTensor; 4], // wqkv, wo, w1, w2
 }
 
 /// A complete functional transformer with profile-generated weights.
@@ -170,13 +169,7 @@ impl TinyTransformer {
                     prep(&w1, config.hidden, config.ffn),
                     prep(&w2, config.ffn, config.hidden),
                 ];
-                LayerWeights {
-                    wqkv,
-                    wo,
-                    w1,
-                    w2,
-                    prepared,
-                }
+                LayerWeights { prepared }
             })
             .collect();
         TinyTransformer { config, layers }
@@ -222,9 +215,8 @@ impl TinyTransformer {
     fn write_tensors(&self, writer: &mut ArchiveWriter) -> Result<(), ArchiveError> {
         let shapes = self.config.weight_shapes();
         for (l, lw) in self.layers.iter().enumerate() {
-            let tensors = [&lw.wqkv, &lw.wo, &lw.w1, &lw.w2];
-            for (t, (&(k, n), data)) in shapes.iter().zip(tensors).enumerate() {
-                writer.add_tensor_slice(&tensor_name(l, t), k, n, data)?;
+            for (t, (&(k, n), w)) in shapes.iter().zip(&lw.prepared).enumerate() {
+                writer.add_tensor_slice(&tensor_name(l, t), k, n, &w.packed().to_bf16_vec())?;
             }
         }
         Ok(())
@@ -232,10 +224,9 @@ impl TinyTransformer {
 
     /// Rebuilds a transformer from a packed archive, borrowing every
     /// weight plane and panel straight out of the mapped file: each
-    /// tensor's digests are verified, its BF16 values are reconstructed
-    /// losslessly (for the exact/FP reference engines), and its prepared
-    /// form adopts the mapped planes with no decode or re-pack — the
-    /// serving cold-start path. The result is equal to the transformer
+    /// tensor's digests are verified and its prepared form adopts the
+    /// mapped planes with no decode or re-pack — the serving cold-start
+    /// path. The result is equal to the transformer
     /// that wrote the archive, and its forward pass is bit-identical.
     ///
     /// # Errors
@@ -247,8 +238,7 @@ impl TinyTransformer {
         let shapes = config.weight_shapes();
         let layers = (0..config.layers)
             .map(|l| {
-                let mut tensors: [Option<(Vec<Bf16>, PreparedTensor)>; 4] =
-                    [None, None, None, None];
+                let mut tensors: [Option<PreparedTensor>; 4] = [None, None, None, None];
                 for (t, slot) in tensors.iter_mut().enumerate() {
                     let mapped = archive.tensor(&tensor_name(l, t))?;
                     let (k, n) = shapes[t];
@@ -258,15 +248,10 @@ impl TinyTransformer {
                             actual: mapped.k() * mapped.n(),
                         }));
                     }
-                    *slot = Some((mapped.to_bf16_vec(), PreparedTensor::from_mapped(mapped)));
+                    *slot = Some(PreparedTensor::from_mapped(mapped));
                 }
-                let [qkv, o, up, down] = tensors.map(|t| t.expect("all four slots filled"));
                 Ok(LayerWeights {
-                    wqkv: qkv.0,
-                    wo: o.0,
-                    w1: up.0,
-                    w2: down.0,
-                    prepared: [qkv.1, o.1, up.1, down.1],
+                    prepared: tensors.map(|t| t.expect("all four slots filled")),
                 })
             })
             .collect::<Result<Vec<_>, ArchiveError>>()?;
@@ -303,7 +288,6 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &normed,
-                &lw.wqkv,
                 &lw.prepared[0],
                 c.seq,
                 c.hidden,
@@ -344,7 +328,6 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &ctx,
-                &lw.wo,
                 &lw.prepared[1],
                 c.seq,
                 c.hidden,
@@ -360,7 +343,6 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &normed,
-                &lw.w1,
                 &lw.prepared[2],
                 c.seq,
                 c.hidden,
@@ -372,7 +354,6 @@ impl TinyTransformer {
                 &mut trace,
                 &mut scratch,
                 &act,
-                &lw.w2,
                 &lw.prepared[3],
                 c.seq,
                 c.ffn,
@@ -407,9 +388,10 @@ impl TinyTransformer {
     /// panel-tiled) form and the activation side rounds/encodes/decodes
     /// through the caller's reused scratch buffers — no per-call BF16
     /// tensor is ever materialised. The reference engines round with the
-    /// identical `Bf16::from_f32` conversion, so every engine's GEMM sees
-    /// the same BF16 inputs and the bit-identity contract of [`Self::run`]
-    /// is unchanged.
+    /// identical `Bf16::from_f32` conversion and decode the weight's BF16
+    /// values losslessly from its packed planes, so every engine's GEMM
+    /// sees the same BF16 inputs and the bit-identity contract of
+    /// [`Self::run`] is unchanged.
     #[allow(clippy::too_many_arguments)]
     fn run_weight(
         &self,
@@ -417,7 +399,6 @@ impl TinyTransformer {
         trace: &mut ForwardTrace,
         scratch: &mut GemmScratch,
         a: &[f32],
-        b: &[Bf16],
         prepared: &PreparedTensor,
         m: usize,
         k: usize,
@@ -425,7 +406,7 @@ impl TinyTransformer {
     ) -> Result<Vec<f32>, ArithError> {
         let out = match engine {
             GemmEngine::Owlp => owlp_gemm_prepared_f32_with(a, prepared, m, k, n, scratch)?.output,
-            _ => engine.gemm(&to_bf16(a), b, m, k, n)?,
+            _ => engine.gemm(&to_bf16(a), &prepared.packed().to_bf16_vec(), m, k, n)?,
         };
         trace.gemm_outputs.push(out.clone());
         Ok(out)
@@ -611,7 +592,7 @@ mod tests {
         model.save_archive_with_budget(&path, 8 << 10).unwrap();
         let loaded = TinyTransformer::from_archive(cfg, &path).unwrap();
         // Mapped planes compare by contents, so equality covers every
-        // weight value, packed plane, and memoised panel.
+        // packed plane and memoised panel.
         assert_eq!(model, loaded);
         let x = input(cfg, 12);
         let a = model.forward(&x, GemmEngine::Owlp).unwrap();

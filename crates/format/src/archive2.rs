@@ -1183,6 +1183,26 @@ mod tests {
     }
 
     #[test]
+    fn mapped_panels_memoise_the_fresh_column_tag_table() {
+        let path = temp_path("col-tags");
+        let (k, n) = (37, 19);
+        write_archive(&path, 4 << 10, &[("w", k, n)]);
+        let ar = MappedArchive::open(&path).unwrap();
+        let t = ar.tensor("w").unwrap();
+        let fresh = crate::TagTable::columns(
+            &encode_tensor(&mixed(k * n), None).unwrap().decode_packed(),
+            k,
+            n,
+        );
+        assert!(!fresh.is_empty(), "the tensor must carry weight tags");
+        let panels = t.panels().expect("archive stores panels");
+        assert_eq!(panels.col_tags(t.operands()), &fresh);
+        drop(t);
+        drop(ar);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn chunked_streaming_matches_one_chunk_exactly() {
         // The same tensor written under a budget forcing many chunks and
         // one large enough for a single chunk must produce byte-identical

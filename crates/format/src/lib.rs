@@ -73,7 +73,7 @@ pub use decode::{BiasDecoder, DecodedOperand};
 pub use encode::{encode_tensor, encode_tensor_into, EncodedTensor};
 pub use error::FormatError;
 pub use mmap::MappedFile;
-pub use packed::{PackedOperands, PackedPanels, PackedPlane};
+pub use packed::{PackedOperands, PackedPanels, PackedPlane, TagTable};
 pub use plane::{Plane, SvalPlane};
 pub use shared_exp::{select_window, select_window_of_width, ExponentWindow};
 pub use stats::ExponentHistogram;

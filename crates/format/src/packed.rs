@@ -26,6 +26,7 @@ use crate::encode::EncodedTensor;
 use crate::error::FormatError;
 use crate::plane::{Plane, SvalPlane};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Meta-plane bit: operand sign.
 pub const META_SIGN: u8 = 1 << 0;
@@ -503,7 +504,66 @@ impl PackedOperands {
             kp,
             n,
             data: SvalPlane::from(data),
+            col_tags: OnceLock::from(TagTable::columns(self, k, n)),
         }
+    }
+}
+
+/// Flat (CSR) outlier-tag table of one operand: [`TagTable::unit`]`(u)`
+/// holds unit `u`'s `(exponent term, depth)` pairs — a unit is an
+/// activation row or a weight column — where the exponent term is
+/// `max(exp, 1)` (the PE's subnormal-outlier clamp). Each unit's slice is
+/// sorted by exponent, so every exponent group is one contiguous run and
+/// the first/last entries bound the unit's exponents.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TagTable {
+    off: Vec<usize>,
+    tags: Vec<(i32, u32)>,
+}
+
+impl TagTable {
+    /// Groups `ops`' tagged outliers into `units` units, where `split`
+    /// maps a flat element position to `(unit, depth)`.
+    fn build(ops: &PackedOperands, units: usize, split: impl Fn(usize) -> (usize, usize)) -> Self {
+        let mut off = vec![0usize; units + 1];
+        for &p in ops.outlier_positions() {
+            off[split(p as usize).0 + 1] += 1;
+        }
+        for u in 0..units {
+            off[u + 1] += off[u];
+        }
+        let mut fill = off.clone();
+        let mut tags = vec![(0i32, 0u32); off[units]];
+        for (&p, &e) in ops.outlier_positions().iter().zip(ops.outlier_exps()) {
+            let (u, depth) = split(p as usize);
+            tags[fill[u]] = (e.max(1) as i32, depth as u32);
+            fill[u] += 1;
+        }
+        for u in 0..units {
+            tags[off[u]..off[u + 1]].sort_unstable();
+        }
+        TagTable { off, tags }
+    }
+
+    /// The per-row table of an `m×k` row-major activation operand.
+    pub fn rows(ops: &PackedOperands, m: usize, k: usize) -> Self {
+        TagTable::build(ops, m, |p| (p / k, p % k))
+    }
+
+    /// The per-column table of a `k×n` row-major weight operand.
+    pub fn columns(ops: &PackedOperands, k: usize, n: usize) -> Self {
+        debug_assert_eq!(ops.len(), k * n, "tag table shape mismatch");
+        TagTable::build(ops, n, |p| (p % n, p / n))
+    }
+
+    /// Unit `u`'s `(exponent term, depth)` pairs, sorted.
+    pub fn unit(&self, u: usize) -> &[(i32, u32)] {
+        &self.tags[self.off[u]..self.off[u + 1]]
+    }
+
+    /// Whether no unit carries a tag.
+    pub fn is_empty(&self) -> bool {
+        self.tags.is_empty()
     }
 }
 
@@ -516,8 +576,12 @@ impl PackedOperands {
 /// nothing, so the microkernel never needs an edge variant.
 ///
 /// Built once per weight tensor via [`PackedOperands::pack_panels`] and
-/// memoised on the arith layer's `PreparedTensor`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// memoised on the arith layer's `PreparedTensor`. The panels also
+/// memoise the weight's per-column [`TagTable`] ([`PackedPanels::col_tags`]):
+/// weight tags never change, so the GEMM groups them once per tensor
+/// instead of once per call. Equality compares the panel contents only;
+/// the table is derived from the operand planes.
+#[derive(Debug, Clone)]
 pub struct PackedPanels {
     k: usize,
     /// Stored depth: `k` rounded up to [`PANEL_K_PAD`], zero-filled.
@@ -527,7 +591,18 @@ pub struct PackedPanels {
     /// aligned per panel — owned, or a zero-copy view into a mapped
     /// archive whose panel region was written pre-packed.
     data: SvalPlane,
+    /// The weight's per-column tag table: built with the panels by
+    /// [`PackedOperands::pack_panels`], on first use for mapped panels.
+    col_tags: OnceLock<TagTable>,
 }
+
+impl PartialEq for PackedPanels {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, self.kp, self.n) == (other.k, other.kp, other.n) && self.data == other.data
+    }
+}
+
+impl Eq for PackedPanels {}
 
 impl PackedPanels {
     /// Wraps an externally supplied panel-major sval plane (the zero-copy
@@ -547,7 +622,21 @@ impl PackedPanels {
                 reason: "panel plane length disagrees with weight shape",
             });
         }
-        Ok(PackedPanels { k, kp, n, data })
+        Ok(PackedPanels {
+            k,
+            kp,
+            n,
+            data,
+            col_tags: OnceLock::new(),
+        })
+    }
+
+    /// The per-column [`TagTable`] of `ops`, the `k×n` weight these panels
+    /// were packed from — memoised, so only the first call on mapped
+    /// panels builds it.
+    pub fn col_tags(&self, ops: &PackedOperands) -> &TagTable {
+        self.col_tags
+            .get_or_init(|| TagTable::columns(ops, self.k, self.n))
     }
 
     /// Depth (reduction dimension) the panels were packed for.
@@ -1013,6 +1102,37 @@ mod tests {
         assert_eq!(rebuilt, panels);
         assert!(PackedPanels::from_plane(k + PANEL_K_PAD, n, plane.clone()).is_err());
         assert!(PackedPanels::from_plane(k, n + PANEL_NR, plane).is_err());
+    }
+
+    #[test]
+    fn panels_memoise_the_fresh_column_tag_table() {
+        let (k, n) = (29, 13);
+        let data = mixed(k * n);
+        let packed = encode_tensor(&data, None).unwrap().decode_packed();
+        let fresh = TagTable::columns(&packed, k, n);
+        assert!(!fresh.is_empty(), "the tensor must carry weight tags");
+        // Owned panels build the table with the panels; panels adopted
+        // from a plane (the mapped-archive path) build it on first use.
+        let owned = packed.pack_panels(k, n);
+        let plane = SvalPlane::from(owned.data().iter().copied().collect::<AlignedVec>());
+        let adopted = PackedPanels::from_plane(k, n, plane).unwrap();
+        for panels in [&owned, &adopted] {
+            assert_eq!(panels.col_tags(&packed), &fresh);
+            assert_eq!(panels.col_tags(&packed), &fresh, "memoised copy");
+        }
+        // Every column's slice holds its tagged depths, sorted by exponent.
+        for j in 0..n {
+            let tags = fresh.unit(j);
+            assert!(tags.windows(2).all(|w| w[0] <= w[1]), "column {j} unsorted");
+            for &(e, kk) in tags {
+                let p = kk as usize * n + j;
+                let at = packed.outlier_positions().binary_search(&(p as u32));
+                let exp = packed.outlier_exps()[at.expect("tag names an outlier")];
+                assert_eq!(e, exp.max(1) as i32);
+            }
+        }
+        let count: usize = (0..n).map(|j| fresh.unit(j).len()).sum();
+        assert_eq!(count, packed.tagged_count());
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! count. The dense-outlier sweep pushes the grouped outlier correction
 //! from no outliers to all-outlier rows, with doubly-tagged depths whose
 //! frames escape to the Kulisch register, through the multi-stripe path,
-//! and checks the outlier statistics against an independent count.
+//! and checks the outlier statistics against an independent count. Every
+//! dense check runs the weight three ways — panels packed per call,
+//! panels memoised with their column tag table, and a mapped archive
+//! tensor whose table is built on first use — and every activation row
+//! count from one (the decode GEMV) to past the widest register tile.
 
 use owlp_repro::arith::exact::exact_gemm;
 use owlp_repro::arith::gemm::{
@@ -15,13 +19,17 @@ use owlp_repro::arith::gemm::{
 };
 use owlp_repro::arith::microkernel::{
     self, available_tiers, dot_sval_with, tile_dot_i16_with, tile_dot_i32_with, with_tier,
-    KernelTier, MR, NR,
+    KernelTier, MR, MR8, NR,
 };
 use owlp_repro::arith::{KulischAcc, WindowAcc};
-use owlp_repro::format::{encode_tensor, select_window, with_block, Bf16, BlockGeometry};
+use owlp_repro::format::{
+    encode_tensor, select_window, with_block, ArchiveWriter, Bf16, BlockGeometry, MappedArchive,
+    PackedOperands, PackedPanels,
+};
 use owlp_repro::integrity::abft::reference_sums;
 use owlp_repro::par::with_threads;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -181,6 +189,16 @@ proptest! {
         let panel32: Vec<i32> = (0..k * NR).map(|_| next() as i32 * 4_093).collect();
         let a32: [&[i32]; MR] = std::array::from_fn(|r| rows32[r].as_slice());
         let oracle32 = tile_dot_i32_with(KernelTier::Scalar, a32, &panel32);
+        // Every tile height the drive loops run, edge tiles included.
+        let rows8: Vec<Vec<i16>> = (0..MR8).map(|_| (0..k).map(|_| next()).collect()).collect();
+        check_row_count::<1>(&rows8, &panel, k)?;
+        check_row_count::<2>(&rows8, &panel, k)?;
+        check_row_count::<3>(&rows8, &panel, k)?;
+        check_row_count::<4>(&rows8, &panel, k)?;
+        check_row_count::<5>(&rows8, &panel, k)?;
+        check_row_count::<6>(&rows8, &panel, k)?;
+        check_row_count::<7>(&rows8, &panel, k)?;
+        check_row_count::<8>(&rows8, &panel, k)?;
         for &tier in available_tiers() {
             let wins = tile_dot_i16_with(tier, a_rows, &panel, win0);
             for (wr, or) in wins.iter().zip(&oracle) {
@@ -194,6 +212,27 @@ proptest! {
             prop_assert_eq!(lanes, oracle32, "tile_dot_i32 {} k={}", tier, k);
         }
     }
+}
+
+/// The first `R` rows of `rows` as one `R`-row tile, at every tier,
+/// against each row computed alone on the scalar tier.
+fn check_row_count<const R: usize>(
+    rows: &[Vec<i16>],
+    panel: &[i16],
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let win0 = WindowAcc::new(0);
+    let a_rows: [&[i16]; R] = std::array::from_fn(|r| rows[r].as_slice());
+    for &tier in available_tiers() {
+        let wins = tile_dot_i16_with(tier, a_rows, panel, win0);
+        for (r, wr) in wins.iter().enumerate() {
+            let [alone] = tile_dot_i16_with(KernelTier::Scalar, [a_rows[r]], panel, win0);
+            for (w, o) in wr.iter().zip(&alone) {
+                prop_assert_eq!(w.raw(), o.raw(), "{} R={} row {} k={}", tier, R, r, k);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `with_tier` requests above what the host supports clamp to an
@@ -302,11 +341,30 @@ fn naive_outlier_stats(a: &[Bf16], b: &[Bf16], m: usize, k: usize, n: usize) -> 
     (max, total)
 }
 
+/// Packs `b` into a fresh archive-v2 file and maps it back: the zero-copy
+/// weight path, whose column tag table is built on first use.
+fn mapped_archive(b: &[Bf16], k: usize, n: usize) -> (std::path::PathBuf, MappedArchive) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let mut path = std::env::temp_dir();
+    path.push(format!(
+        "owlp-microkernel-equivalence-{}-{}.owl2",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut w = ArchiveWriter::with_budget(&path, 4 << 10).expect("archive created");
+    w.add_tensor_slice("w", k, n, b).expect("tensor packed");
+    w.finish().expect("archive written");
+    let archive = MappedArchive::open(&path).expect("archive maps");
+    (path, archive)
+}
+
 /// Runs the ABFT drive loop at every tier × thread count × blocking
-/// geometry (the unblocked oracle, an awkward multi-stripe split, and the
-/// automatic choice) and checks each run against the exact engine, the
-/// forced-scalar unblocked serial run, the independent ABFT reference
-/// sums, and the naive outlier statistics.
+/// geometry (the unblocked oracle, an awkward multi-stripe split, thin
+/// stripes over whole blocks, and the automatic choice), on the weight
+/// packed per call, with memoised panels
+/// and column table, and mapped from an archive. Checks each run against
+/// the exact engine, the forced-scalar unblocked serial run, the
+/// independent ABFT reference sums, and the naive outlier statistics.
 fn check_dense_gemm(
     a: &[Bf16],
     b: &[Bf16],
@@ -323,9 +381,13 @@ fn check_dense_gemm(
     let exact = exact_gemm(a, b, m, k, n);
     let reference = reference_sums(&pa, &pb, m, k, n);
     let (max, total) = naive_outlier_stats(a, b, m, k, n);
-    let run = || owlp_gemm_packed_abft(&pa, &pb, None, m, k, n, None).expect("finite inputs");
+    let run = |pb: &PackedOperands, panels: Option<&PackedPanels>| {
+        owlp_gemm_packed_abft(&pa, pb, panels, m, k, n, None).expect("finite inputs")
+    };
     let (scalar, scalar_sums) = with_tier(KernelTier::Scalar, || {
-        with_threads(1, || with_block(BlockGeometry::UNBLOCKED, run))
+        with_threads(1, || {
+            with_block(BlockGeometry::UNBLOCKED, || run(&pb, None))
+        })
     });
     assert_bits_equal("forced-scalar", &scalar.output, &exact)?;
     prop_assert_eq!(&scalar_sums, &reference, "ABFT reference sums");
@@ -335,25 +397,65 @@ fn check_dense_gemm(
         total,
         "total outlier products"
     );
+    let memo = pb.pack_panels(k, n);
+    let (path, archive) = mapped_archive(b, k, n);
+    let mapped = archive.tensor("w").expect("digest-verified load");
+    let variants: [(&str, &PackedOperands, Option<&PackedPanels>); 3] = [
+        ("per-call", &pb, None),
+        ("memoised", &pb, Some(&memo)),
+        ("mapped", mapped.operands(), mapped.panels()),
+    ];
     let split = BlockGeometry::parse("4,8,4").expect("valid geometry");
-    for &tier in available_tiers() {
-        for t in TIER_THREADS {
-            for geom in [Some(BlockGeometry::UNBLOCKED), Some(split), None] {
-                let (out, sums): (OwlpGemmOutput, _) = with_tier(tier, || {
-                    with_threads(t, || match geom {
-                        Some(g) => with_block(g, run),
-                        None => run(),
-                    })
-                });
-                let what = format!("{tier} {t}t {geom:?}");
-                prop_assert_eq!(&out, &scalar, "{}", what);
-                prop_assert_eq!(&sums, &scalar_sums, "{}", what);
+    // Thin K stripes under whole-M, whole-N blocks: one multi-stripe lane
+    // plane spans several panels and every row of the chunk.
+    let stripes = BlockGeometry::parse("0,8,0").expect("valid geometry");
+    for (variant, ops_b, panels) in variants {
+        for &tier in available_tiers() {
+            for t in TIER_THREADS {
+                for geom in [
+                    Some(BlockGeometry::UNBLOCKED),
+                    Some(split),
+                    Some(stripes),
+                    None,
+                ] {
+                    let (out, sums): (OwlpGemmOutput, _) = with_tier(tier, || {
+                        with_threads(t, || match geom {
+                            Some(g) => with_block(g, || run(ops_b, panels)),
+                            None => run(ops_b, panels),
+                        })
+                    });
+                    let what = format!("{variant} {tier} {t}t {geom:?}");
+                    prop_assert_eq!(&out, &scalar, "{}", what);
+                    prop_assert_eq!(&sums, &scalar_sums, "{}", what);
+                }
             }
         }
     }
+    drop(mapped);
+    drop(archive);
+    std::fs::remove_file(&path).ok();
     let plain = owlp_gemm(a, b, m, k, n).expect("finite inputs");
     prop_assert_eq!(&plain, &scalar, "plain vs ABFT drive loop");
     Ok(())
+}
+
+/// Every activation row count from the one-row decode GEMV to one past
+/// the widest register tile, so every edge-tile height runs: at a depth
+/// that is single-stripe under the automatic geometry and multi-stripe
+/// under the split one, and at a depth beyond the lane spill period.
+#[test]
+fn every_edge_row_count_matches_every_oracle() {
+    let n = NR + 3;
+    for m in 1..=MR8 + 1 {
+        for (k, act) in [(37, 270), (microkernel::K_SPILL + 5, 30)] {
+            let seed = 0x5EED ^ (m as u64) << 20 ^ k as u64;
+            let a = dense_tensor(m * k, act, m % 2 == 0, seed);
+            let b = dense_tensor(k * n, WT_DENSITIES[2], false, seed.rotate_left(13) | 4);
+            if let Err(e) = check_dense_gemm(&a, &b, m, k, n) {
+                panic!("m={m} k={k}: {e}");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -389,7 +491,7 @@ proptest! {
     /// its spill plane; the grouped correction must see the same sums.
     #[test]
     fn dense_outliers_beyond_the_spill_period_match_every_oracle(
-        m in 1usize..6,
+        m in 1usize..=MR8 + 1,
         extra_k in 1usize..40,
         n in 1usize..6,
         act_idx in 0usize..ACT_DENSITIES.len(),
